@@ -15,9 +15,7 @@ from .cf_engine import (
     RuleSource,
     SeededSource,
     bracket,
-    denominator_stream,
     initial_state,
-    next_convergent,
     parse_source,
     tail_bracket,
 )

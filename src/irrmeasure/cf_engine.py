@@ -8,8 +8,10 @@ alpha, so no floating point is ever involved.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import SourceExhausted
 
@@ -49,11 +51,6 @@ class ConvergentState:
 def initial_state(a0: int) -> ConvergentState:
     """State at m = 0: p_0/q_0 = a0/1 with virtual (p_{-1}, q_{-1}) = (1, 0)."""
     return ConvergentState(0, a0, 1, 1, 0)
-
-
-def next_convergent(state: ConvergentState, a: int) -> ConvergentState:
-    """One step of the recurrence; a is the next partial quotient."""
-    return state.advance(a)
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,20 @@ class PartialQuotientSource:
                 st = self._states[k - 1].advance(self.term(k))
             self._states.append(st)
         return self._states[m]
+
+    def seek(self, t: int) -> int:
+        """Smallest index m with q_m >= t.
+
+        The denominators never decrease, so this bisects the cache after
+        extending it only until it holds some q >= t; an explicit source
+        that runs out first raises SourceExhausted.  The tie q_0 = q_1 = 1
+        resolves to m = 0.
+        """
+        if t < 1:
+            raise ValueError("t must be a positive integer")
+        while not self._states or self._states[-1].q < t:
+            self.state(len(self._states))
+        return bisect_left(self._states, t, key=attrgetter("q"))
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -346,11 +357,3 @@ def tail_bracket(source: PartialQuotientSource, m: int, depth: int) -> RationalB
     if lo_value > hi_value:
         lo_value, hi_value = hi_value, lo_value
     return RationalBracket(lo_value, hi_value)
-
-
-def denominator_stream(source: PartialQuotientSource):
-    """Yield (m, q_m) for m = 0, 1, 2, ... until the source is exhausted."""
-    m = 0
-    while True:
-        yield m, source.state(m).q
-        m += 1

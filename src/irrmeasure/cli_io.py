@@ -57,6 +57,10 @@ def atomic_write(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        # mkstemp creates the file 0600; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(temp_path, path)

@@ -12,6 +12,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .cf_engine import PartialQuotientSource, SeededSource, parse_source
 from .errors import ComparisonUndecided
@@ -110,13 +111,11 @@ class ChangeTrace:
 def _distinct_denominators(source: PartialQuotientSource, start_exclusive: int = 0):
     """Strictly increasing q_m stream, merging the duplicate at q_0 = q_1."""
     last = None
-    m = 0
+    m = source.seek(max(start_exclusive, 0) + 1)
     while True:
         q = source.state(m).q
-        if q != last and q > start_exclusive:
+        if q != last:
             yield q
-            last = q
-        elif q != last:
             last = q
         m += 1
 
@@ -195,20 +194,27 @@ def tau_at(ftuple: FunctionTuple, t: int) -> int:
     """Number of members for which t is a convergent denominator."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    count = 0
-    for _, source in ftuple.members:
-        m = 0
-        while source.state(m).q < t:
-            m += 1
-        if source.state(m).q == t:
-            count += 1
-    return count
+    return sum(
+        1 for _, source in ftuple.members if source.state(source.seek(t)).q == t
+    )
 
 
 def clamp_start(ftuple: FunctionTuple, t0: int) -> int:
     """Traces start no earlier than every member's q_2."""
     floor_t = max(source.state(2).q for _, source in ftuple.members)
     return max(t0, floor_t)
+
+
+def _change_moments(
+    ftuple: FunctionTuple, current: OrderVector, events, depth_limit: int
+):
+    """Yield a ChangeMoment at each event whose order vector differs from
+    the one before it; current is the vector in force before the first."""
+    for event in events:
+        vector = order_vector_at(ftuple, event.t, depth_limit)
+        if vector != current:
+            yield ChangeMoment(event.t, vector, event.jumping)
+            current = vector
 
 
 def change_trace(
@@ -228,16 +234,8 @@ def change_trace(
         raise ValueError("count must be >= 0")
     start = clamp_start(ftuple, t0)
     v0 = order_vector_at(ftuple, start, depth_limit)
-    moments = []
-    current = v0
-    if count > 0:
-        for event in iter_events(ftuple, start):
-            vector = order_vector_at(ftuple, event.t, depth_limit)
-            if vector != current:
-                moments.append(ChangeMoment(event.t, vector, event.jumping))
-                current = vector
-                if len(moments) == count:
-                    break
+    events = iter_events(ftuple, start)
+    moments = tuple(islice(_change_moments(ftuple, v0, events, depth_limit), count))
     header = {
         "sources": [[label, source.spec_string()] for label, source in ftuple.members],
         "depth_limit": depth_limit,
@@ -245,7 +243,7 @@ def change_trace(
     }
     if any(isinstance(source, SeededSource) for _, source in ftuple.members):
         header["prng"] = SeededSource.PRNG_NAME
-    return ChangeTrace(start, v0, tuple(moments), header)
+    return ChangeTrace(start, v0, moments, header)
 
 
 def tuple_from_header(header: dict) -> FunctionTuple:

@@ -80,6 +80,10 @@ class ApproximationError:
         state = source.state(m)
         self.q = state.q
         self.p = state.p
+        # the integer nearest to q_m*alpha: p_m, except at m = 0 with
+        # a_1 = 1, where alpha lies above a_0 + 1/2 and the lookup for
+        # t = q_0 = q_1 lands on p_1 = a_0 + 1
+        self._nearest = source.state(source.seek(self.q + 1) - 1).p
         # depth m+1 already brackets alpha strictly between convergents
         # around level m; start a little deeper so the value interval is
         # clear of 0 and 1/2 straight away in typical cases.
@@ -87,8 +91,21 @@ class ApproximationError:
         self.bracket = self._compute()
 
     def _compute(self) -> RationalBracket:
-        alpha = cf_engine.bracket(self.source, self.depth)
-        return nearest_integer_distance(alpha.scale(self.q))
+        """Ends |q_m*p_d - p*q_d| / q_d for the convergents d = depth-2, depth-1.
+
+        p is the integer nearest to q_m*alpha.  Every convergent p_d/q_d
+        past that level lies on the same side of p/q_m as alpha, no further
+        from it than the next convergent, so q_m*p_d/q_d - p has the sign of
+        q_m*alpha - p and magnitude at most 1/2.  The two ends are thus the
+        exact values of ||x|| at the ends of the scaled bracket of alpha,
+        in plain integer arithmetic.
+        """
+        deep = self.source.state(self.depth - 1)
+        ends = [
+            Fraction(abs(self.q * state.p - self._nearest * state.q), state.q)
+            for state in (deep, self.source.state(self.depth - 2))
+        ]
+        return RationalBracket(min(ends), max(ends))
 
     def refine(self, extra: int = 1) -> None:
         if extra < 1:
@@ -105,29 +122,21 @@ class ApproximationError:
         return f"ApproximationError({who}, m={self.m}, q={self.q}, width={float(self.bracket.width):.3e})"
 
 
-def _level_at(source: PartialQuotientSource, t: int) -> int:
-    """Largest index m with q_m <= t (ties at q=1 resolve to the larger m).
-
-    Needs to see q_{m+1} > t to stop, so an explicit source that runs out
-    first raises SourceExhausted, which is the honest answer.
-    """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    m = 0
-    while source.state(m + 1).q <= t:
-        m += 1
-    return m
-
-
 def psi_at(
     source: PartialQuotientSource,
     t: int,
     target_width: Fraction = DEFAULT_TARGET_WIDTH,
     label: str | None = None,
 ) -> ApproximationError:
-    """Staircase value at integer t as a refinable exact bracket."""
-    m = _level_at(source, t)
-    err = ApproximationError(source, m, label)
+    """Staircase value at integer t as a refinable exact bracket.
+
+    The level is the largest m with q_m <= t (ties at q = 1 resolve to the
+    larger m), found by looking up the first q > t; an explicit source that
+    runs out first raises SourceExhausted, which is the honest answer.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    err = ApproximationError(source, source.seek(t + 1) - 1, label)
     err.refine_to(target_width)
     return err
 
@@ -145,9 +154,7 @@ def psi_left_limit(
     """
     if t < 2:
         raise NotAJumpPoint(f"t={t} is below every jump with m >= 2")
-    m = 0
-    while source.state(m).q < t:
-        m += 1
+    m = source.seek(t)
     if source.state(m).q != t or m < 2:
         raise NotAJumpPoint(f"t={t} is not a denominator with index >= 2")
     err = ApproximationError(source, m - 1, label)

@@ -22,10 +22,10 @@ three staircases, and the counting bound for distinct vectors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from itertools import takewhile
 
-from . import triangle_perm
+from . import order_dynamics, triangle_perm
 from .cf_engine import PartialQuotientSource
 from .errors import (
     ComparisonUndecided,
@@ -289,19 +289,6 @@ class PrejumpScanReport:
         return sum(1 for inst in self.instances if inst.applied)
 
 
-def _denominators_upto(source, limit):
-    """Distinct denominators q_m <= limit as {q: m} with the largest index."""
-    out = {}
-    m = 0
-    while True:
-        q = source.state(m).q
-        if q > limit:
-            break
-        out[q] = m
-        m += 1
-    return out
-
-
 def check_prejump_reversal(
     alpha: PartialQuotientSource,
     beta: PartialQuotientSource,
@@ -325,8 +312,6 @@ def check_prejump_reversal(
             break
     if horizon is None:
         raise ValueError("window has fewer events than requested")
-    h_index = _denominators_upto(beta, horizon)
-    h_sorted = sorted(h_index)
     instances = []
     undecided = []
     violations = []
@@ -334,14 +319,10 @@ def check_prejump_reversal(
     while alpha.state(m + 1).q <= horizon:
         q_m = alpha.state(m).q
         q_next = alpha.state(m + 1).q
-        if q_next in h_index and q_m >= 2:
+        if beta.state(beta.seek(q_next)).q == q_next:
             # s is beta's first denominator index strictly above q_m
-            s = None
-            for h in h_sorted:
-                if h > q_m:
-                    s = h_index[h]
-                    break
-            if s is not None and s >= 2 and h_index[q_next] >= s:
+            s = beta.seek(q_m + 1)
+            if s >= 2:
                 try:
                     before_joint = compare_psi(alpha, beta, q_next - 1, depth_limit)
                     if before_joint.relation is Relation.LESS:
@@ -437,16 +418,10 @@ def sign_changes(
     start = clamp_start(ftuple, 1)
     if horizon < start:
         return 0
-    current = order_vector_at(ftuple, start, depth_limit)
-    count = 0
-    for event in iter_events(ftuple, start):
-        if event.t > horizon:
-            break
-        vector = order_vector_at(ftuple, event.t, depth_limit)
-        if vector != current:
-            count += 1
-            current = vector
-    return count
+    v0 = order_vector_at(ftuple, start, depth_limit)
+    events = takewhile(lambda event: event.t <= horizon, iter_events(ftuple, start))
+    moments = order_dynamics._change_moments(ftuple, v0, events, depth_limit)
+    return sum(1 for _ in moments)
 
 
 @dataclass(frozen=True)

@@ -118,19 +118,7 @@ def _solve_event(congruences, lower_bound, search_bound, coprime_to=1):
     the value coprime to that member's modulus, and stepping by the merged
     modulus escapes any prime outside it.
     """
-    try:
-        r, m = merge_congruences(congruences)
-    except InfeasibleSchedule:
-        least = min(mod for _, mod in congruences)
-        residue = next(res for res, mod in congruences if mod == least)
-        q = lower_bound + (residue - lower_bound) % least
-        for _ in range(search_bound):
-            if math.gcd(q, coprime_to) == 1 and all(
-                (q - res) % mod == 0 for res, mod in congruences
-            ):
-                return q
-            q += least
-        raise
+    r, m = merge_congruences(congruences)
     if r < lower_bound:
         r += ((lower_bound - r + m - 1) // m) * m
     for _ in range(search_bound):

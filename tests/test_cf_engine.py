@@ -14,9 +14,7 @@ from irrmeasure import (
     SeededSource,
     SourceExhausted,
     bracket,
-    denominator_stream,
     initial_state,
-    next_convergent,
     parse_source,
     tail_bracket,
 )
@@ -63,7 +61,7 @@ def test_determinant_identity_deep(spec):
 def test_advance_rejects_nonpositive_quotient():
     state = initial_state(1)
     with pytest.raises(ValueError):
-        next_convergent(state, 0)
+        state.advance(0)
 
 
 def test_bracket_phi_depth4():
@@ -208,10 +206,48 @@ def test_rule_const_matches_periodic():
     assert [const.term(m) for m in range(10)] == [periodic.term(m) for m in range(10)]
 
 
-def test_denominator_stream():
-    stream = denominator_stream(parse_source(PHI))
-    first = [next(stream) for _ in range(5)]
-    assert first == [(0, 1), (1, 1), (2, 2), (3, 3), (4, 5)]
+def scan_level(source, t):
+    """Smallest m with q_m >= t, by walking the denominators from m = 0."""
+    m = 0
+    while source.state(m).q < t:
+        m += 1
+    return m
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except SourceExhausted as exc:
+        return ("exhausted", exc.index, exc.available)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6),
+)
+def test_seek_matches_a_plain_scan(terms, ts):
+    sought = ExplicitSource([0] + terms)
+    scanned = ExplicitSource([0] + terms)
+    for t in ts:
+        assert outcome(lambda: sought.seek(t)) == outcome(lambda: scan_level(scanned, t))
+        # the lookup reads no further into the source than the scan does
+        assert len(sought._terms) == len(scanned._terms)
+
+
+def test_seek_resolves_the_q0_q1_tie_to_the_first_index():
+    phi = parse_source(PHI)
+    assert (phi.state(0).q, phi.state(1).q) == (1, 1)
+    assert phi.seek(1) == 0
+    assert phi.seek(2) == 2
+    # psi reads the level as seek(t + 1) - 1, which lands on the later tie
+    assert phi.seek(1 + 1) - 1 == 1
+
+
+def test_seek_rejects_t_below_one():
+    source = parse_source(RT2)
+    for t in (0, -3):
+        with pytest.raises(ValueError):
+            source.seek(t)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=40))

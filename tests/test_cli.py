@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -249,6 +251,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert main(["trace", "--sources", PHI, RT2, "--count", "2", "--out", str(out)]) == 0
     assert out.exists()
     assert [p.name for p in out.parent.iterdir()] == ["trace.json"]
+
+
+def test_atomic_write_honours_umask(tmp_path):
+    out = tmp_path / "pi.txt"
+    old = os.umask(0o022)
+    try:
+        assert main(["pi", "--k", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_identical_configs_reproduce_bytes(tmp_path):

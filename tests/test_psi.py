@@ -171,6 +171,16 @@ def test_brute_sweep_overlaps_psi_at(source):
         assert b.width <= Fraction(2, 10**13)
 
 
+def test_level_zero_with_unit_first_quotient_against_brute_force():
+    # phi = [1; 1, 1, ...]: q_0 = q_1 = 1 and the integer nearest to phi
+    # is a_0 + 1 = p_1, not p_0
+    err = ApproximationError(PHI, 0)
+    err.refine_to(Fraction(1, 10**30))
+    assert err.bracket.width <= Fraction(1, 10**30)
+    assert brute_force_psi(PHI, 1).encloses(err.bracket)
+    assert contains(err.bracket, 2 - oracle.phi_value())
+
+
 def test_brute_sweep_against_oracle_brute():
     alpha = oracle.e_value()
     for t, b in iter_brute_force_psi(E, 40):
