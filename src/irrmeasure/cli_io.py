@@ -18,6 +18,7 @@ import os
 import shlex
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -418,20 +419,27 @@ def error_document(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n"
 
 
+def _write_warning(message, category, filename, lineno, file=None, line=None):
+    """Warnings as "Category: message", without the checkout's source path."""
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ComparisonUndecided as exc:
-        sys.stderr.write(error_document(exc))
-        return 3
-    except (SourceExhausted, InfeasibleSchedule) as exc:
-        sys.stderr.write(error_document(exc))
-        return 4
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, IrrMeasureError) as exc:
-        sys.stderr.write(error_document(exc))
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _write_warning
+        try:
+            return args.func(args)
+        except ComparisonUndecided as exc:
+            sys.stderr.write(error_document(exc))
+            return 3
+        except (SourceExhausted, InfeasibleSchedule) as exc:
+            sys.stderr.write(error_document(exc))
+            return 4
+        except (ValueError, OSError, KeyError, json.JSONDecodeError, IrrMeasureError) as exc:
+            sys.stderr.write(error_document(exc))
+            return 2
 
 
 if __name__ == "__main__":

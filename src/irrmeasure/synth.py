@@ -73,38 +73,40 @@ def extremal_schedule(k: int, cycles: int) -> JumpSchedule:
     return JumpSchedule(tuple(events), k=k)
 
 
-def _extended_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    return old_r, old_s, old_t
-
-
 def merge_congruences(pairs):
     """Smallest representation (r, M) of a simultaneous congruence system.
 
     pairs holds (residue, modulus) entries; non-coprime moduli are merged
-    through the extended gcd.  Raises InfeasibleSchedule on contradiction.
+    through their gcd g and the inverse of M/g modulo modulus/g.  Raises
+    InfeasibleSchedule on contradiction.
     """
     r, m = 0, 1
     for residue, modulus in pairs:
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         residue %= modulus
-        g, u, _ = _extended_gcd(m, modulus)
+        g = math.gcd(m, modulus)
         if (residue - r) % g:
             raise InfeasibleSchedule(
                 f"congruences x = {r} (mod {m}) and x = {residue} (mod {modulus}) conflict"
             )
-        lcm = m // g * modulus
-        r = (r + m * ((residue - r) // g) * u) % lcm
-        m = lcm
+        step = modulus // g
+        r += m * ((residue - r) // g * pow(m // g, -1, step) % step)
+        m *= step
     return r, m
+
+
+def _primorial(bound):
+    """Product of the primes below bound, by the sieve of Eratosthenes."""
+    is_prime = bytearray([1]) * bound
+    is_prime[:2] = bytes(2)
+    for n in range(2, math.isqrt(bound - 1) + 1):
+        if is_prime[n]:
+            is_prime[n * n :: n] = bytes(len(range(n * n, bound, n)))
+    return math.prod(n for n in range(bound) if is_prime[n])
+
+
+_SMALL_PRIME_PRODUCT = _primorial(2000)
 
 
 def _solve_event(congruences, lower_bound, search_bound, coprime_to=1):
@@ -117,12 +119,22 @@ def _solve_event(congruences, lower_bound, search_bound, coprime_to=1):
     coprime to the pool always exists: each member congruence already forces
     the value coprime to that member's modulus, and stepping by the merged
     modulus escapes any prime outside it.
+
+    Most candidates share a prime below 2000 with the pool, so each is first
+    tested against small = gcd(pool, product of those primes), a number of
+    a few thousand bits.  The sieve is exact: small divides the pool, so a
+    candidate with gcd(Q, small) != 1 has gcd(Q, pool) != 1 and the full
+    test would reject it too.  A candidate that passes the sieve still gets
+    the full test.  Both tests together accept exactly the candidates the
+    full test alone accepts, in the same order, so the returned Q is the
+    same least admissible value and search_bound counts the same candidates.
     """
     r, m = merge_congruences(congruences)
     if r < lower_bound:
         r += ((lower_bound - r + m - 1) // m) * m
+    small = math.gcd(coprime_to, _SMALL_PRIME_PRODUCT)
     for _ in range(search_bound):
-        if math.gcd(r, coprime_to) == 1:
+        if math.gcd(r, small) == 1 and math.gcd(r, coprime_to) == 1:
             return r
         r += m
     raise InfeasibleSchedule(
@@ -269,10 +281,9 @@ def replay_check(result: SynthesisResult) -> bool:
     """
     denominators = {}
     for label, terms in result.quotients.items():
-        p_prev, q_prev, p, q = 1, 0, terms[0], 1
+        q_prev, q = 0, 1
         qs = [q]
         for a in terms[1:]:
-            p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
             qs.append(q)
         denominators[label] = qs
@@ -289,10 +300,33 @@ def replay_check(result: SynthesisResult) -> bool:
     return True
 
 
+def _extremal_preset(text: str) -> JumpSchedule:
+    form = "expected extremal:k=<int>:cycles=<int>"
+    keys = ("k", "cycles")
+    params = {}
+    for part in text[len("extremal:") :].split(":"):
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"entry {part!r} is not key=value in {text!r}; {form}")
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {text!r}; {form}")
+        if key in params:
+            raise ValueError(f"duplicate key {key!r} in {text!r}; {form}")
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(
+                f"{key}={value!r} is not an integer in {text!r}; {form}"
+            ) from None
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"missing key {key!r} in {text!r}; {form}")
+    return extremal_schedule(params["k"], params["cycles"])
+
+
 def load_schedule(text: str) -> JumpSchedule:
     """Parse a schedule from JSON or the extremal:k=..:cycles=.. preset form."""
     text = text.strip()
     if text.startswith("extremal:"):
-        params = dict(part.split("=") for part in text[len("extremal:") :].split(":"))
-        return extremal_schedule(int(params["k"]), int(params["cycles"]))
+        return _extremal_preset(text)
     return JumpSchedule.from_document(json.loads(text))

@@ -121,13 +121,16 @@ def test_trace_config_file_and_override(tmp_path):
     assert len(doc["events"]) == 5
 
 
-def test_verify_round_trip(tmp_path):
+def test_verify_round_trip(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     main(["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "6", "--out", str(trace_path)])
     report_path = tmp_path / "report.json"
-    with pytest.warns(UserWarning):
-        code = main(["verify", "--trace", str(trace_path), "--k", "2", "--out", str(report_path)])
+    code = main(["verify", "--trace", str(trace_path), "--k", "2", "--out", str(report_path)])
     assert code == 0
+    # the warning carries no source path, so stderr is the same in every checkout
+    assert capsys.readouterr().err == (
+        "UserWarning: vector length 2 is not the triangular size 3 for k=2\n"
+    )
     report = json.loads(report_path.read_text())
     assert report["items"]["i"]["status"] == "fail"
     assert report["items"]["ii"]["status"] == "pass"
@@ -232,6 +235,25 @@ def test_infeasible_schedule_exits_4(tmp_path, capsys):
     schedule = json.dumps({"k": None, "events": [["A"], ["A", "B"], ["A", "B"]]})
     assert main(["synth", "--schedule", schedule]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleSchedule"
+
+
+FORM = "expected extremal:k=<int>:cycles=<int>"
+
+
+@pytest.mark.parametrize(
+    "preset, detail",
+    [
+        ("extremal:k=3", "missing key 'cycles' in 'extremal:k=3'"),
+        ("extremal:k=3:cycles=2:z", "entry 'z' is not key=value in 'extremal:k=3:cycles=2:z'"),
+        ("extremal:k=3:cycles=2:n=4", "unknown key 'n' in 'extremal:k=3:cycles=2:n=4'"),
+        ("extremal:k=3:cycles=2:k=3", "duplicate key 'k' in 'extremal:k=3:cycles=2:k=3'"),
+        ("extremal:k=3:cycles=two", "cycles='two' is not an integer in 'extremal:k=3:cycles=two'"),
+    ],
+)
+def test_malformed_extremal_preset_exits_2(capsys, preset, detail):
+    assert main(["synth", "--schedule", preset]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "detail": f"{detail}; {FORM}"}
 
 
 # ------------------------------------------------------------ file handling

@@ -1,9 +1,11 @@
 """Schedule synthesis: congruence merging, realization, replay."""
 
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from irrmeasure import (
     ExplicitSource,
@@ -16,6 +18,7 @@ from irrmeasure import (
     replay_check,
     synthesize,
 )
+from irrmeasure.cli_io import canonical_json
 
 AB = frozenset({"A", "B"})
 AC = frozenset({"A", "C"})
@@ -52,6 +55,31 @@ def test_merge_congruences_conflict():
 
 def test_merge_congruences_single():
     assert merge_congruences([(5, 7)]) == (5, 7)
+
+
+def brute_force_crt(pairs):
+    """Every x in [0, lcm) meeting all congruences, by plain search."""
+    lcm = math.lcm(*(modulus for _, modulus in pairs))
+    hits = [x for x in range(lcm) if all((x - a) % n == 0 for a, n in pairs)]
+    return hits, lcm
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-30, 60), st.integers(1, 10)), min_size=0, max_size=3
+    )
+)
+@example([(2, 3), (3, 5)])  # coprime
+@example([(2, 6), (8, 10)])  # non-coprime, consistent
+@example([(0, 4), (1, 2)])  # non-coprime, conflicting
+def test_merge_congruences_matches_brute_force(pairs):
+    hits, lcm = brute_force_crt(pairs)
+    if not hits:
+        with pytest.raises(InfeasibleSchedule):
+            merge_congruences(pairs)
+    else:
+        assert len(hits) == 1
+        assert merge_congruences(pairs) == (hits[0], lcm)
 
 
 # ------------------------------------------------------------------ schedule
@@ -144,6 +172,107 @@ def test_member_events_positions():
     result = synthesize(JumpSchedule([AB, AC, BC, AB, AC, BC]))
     assert result.member_events("A") == [(0, 2), (1, 3), (3, 4), (4, 5)]
     assert result.member_events("C") == [(1, 2), (2, 3), (4, 4), (5, 5)]
+
+
+def brute_force_synthesis(events, prefixes):
+    """Event values and quotients found by a plain scan, without any CRT.
+
+    Each event value is the least Q >= the lower bound (above the previous
+    event, and at least q + q_prev for every member so that its quotient is
+    >= 1) with Q = q_prev (mod q) for every member and gcd(Q, d) = 1 for every
+    denominator d already owned.  The scan walks the first member's residue
+    class upward.  An event whose congruences have no common solution over a
+    whole period of their moduli raises InfeasibleSchedule.
+    """
+    states = {}
+    owned = []
+    quotients = {}
+    for label, terms in prefixes.items():
+        qs = denominators(terms)
+        states[label] = (qs[-1], qs[-2])
+        owned += qs
+        quotients[label] = list(terms)
+    values = []
+    last = 0
+    for event in events:
+        members = [states[label] for label in event]
+        lower = max([last + 1] + [q + q_prev for q, q_prev in members])
+        first_q, first_prev = members[0]
+        start = lower + (first_prev - lower) % first_q
+        period = math.lcm(*(q for q, _ in members))
+
+        def solves(x):
+            return all((x - q_prev) % q == 0 for q, q_prev in members)
+
+        if not any(solves(x) for x in range(start, start + period, first_q)):
+            raise InfeasibleSchedule("no common solution")
+        value = start
+        while not (solves(value) and all(math.gcd(value, d) == 1 for d in owned)):
+            value += first_q
+        for label in event:
+            q, q_prev = states[label]
+            quotients[label].append((value - q_prev) // q)
+            states[label] = (value, q)
+        owned.append(value)
+        values.append(value)
+        last = value
+    return tuple(values), {label: tuple(terms) for label, terms in quotients.items()}
+
+
+@given(
+    st.lists(
+        st.sets(st.sampled_from("ABC"), min_size=1).map(lambda s: tuple(sorted(s))),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2), min_size=3, max_size=3),
+)
+def test_tiny_schedules_match_brute_force(events, tails):
+    schedule = JumpSchedule(tuple(events))
+    prefixes = {label: [0, *tail] for label, tail in zip("ABC", tails)}
+    prefixes = {label: prefixes[label] for label in schedule.labels}
+    try:
+        expected = brute_force_synthesis(events, prefixes)
+    except InfeasibleSchedule:
+        with pytest.raises(InfeasibleSchedule):
+            synthesize(schedule, prefixes=prefixes)
+        return
+    result = synthesize(schedule, prefixes=prefixes)
+    assert (result.event_values, result.quotients) == expected
+
+
+def test_large_prime_in_the_pool_blocks_a_candidate():
+    # 2003 is a prime above the small-prime sieve: only the full gcd against
+    # the pool sees that A's first candidate Q = 2003 is C's denominator
+    events = [("A",), ("C",)]
+    prefixes = {"A": [0, 2002], "C": [0, 2003]}
+    result = synthesize(JumpSchedule(tuple(events)), prefixes=prefixes)
+    assert result.event_values[0] == 4005
+    assert (result.event_values, result.quotients) == brute_force_synthesis(
+        events, prefixes
+    )
+
+
+def document_sha256(result):
+    return hashlib.sha256(canonical_json(result.to_document()).encode()).hexdigest()
+
+
+def test_extremal_document_is_frozen():
+    result = synthesize(extremal_schedule(3, 4))
+    assert document_sha256(result) == (
+        "7529befa99f1c5ba329cfad5d44145789549a0e4d7147af654aad26720e8c381"
+    )
+
+
+def test_seeded_prefix_document_is_frozen():
+    schedule = extremal_schedule(4, 2)
+    # random.Random(7).sample(range(1, 11), 10)
+    firsts = [6, 3, 7, 10, 1, 8, 5, 2, 4, 9]
+    prefixes = {label: [0, a] for label, a in zip(schedule.labels, firsts)}
+    result = synthesize(schedule, prefixes=prefixes)
+    assert document_sha256(result) == (
+        "be92a5a09ac43116515c2162971a1771aa03498d4b1273c8c69a32973e36d21b"
+    )
 
 
 def test_event_values_strictly_increase():
