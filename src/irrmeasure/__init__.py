@@ -45,7 +45,6 @@ from .order_dynamics import (
     distinct_vectors,
     iter_events,
     order_vector_at,
-    tau_at,
     tuple_from_header,
 )
 from .psi import (
@@ -56,7 +55,6 @@ from .psi import (
     compare_psi,
     iter_brute_force_psi,
     nearest_integer_distance,
-    perron_bracket,
     psi_at,
     psi_left_limit,
     separate,
@@ -88,9 +86,7 @@ from .synth import (
 from .triangle_perm import (
     apply_pi,
     canonical_pairs,
-    canonical_predecessor,
     cycle_decomposition,
-    inverse_index,
     linear_index,
     pi_order,
     position_permutation,

@@ -67,8 +67,11 @@ class ComparisonVerdict:
 class ApproximationError:
     """Refinable exact bracket for ||q_m * alpha|| at one staircase level.
 
-    The handle owns its current refinement depth; refine() only ever
-    mutates this object, never the source it reads from.
+    The handle owns its current refinement depth; refine() only ever moves
+    this object's depth.  The bracket at each (m, depth) is memoized on the
+    source, next to its term and state caches.  A bracket is a frozen value
+    fixed by the source's convergents and (m, depth) alone, so handles at
+    the same level share entries without seeing each other's depth.
     """
 
     def __init__(self, source: PartialQuotientSource, m: int, label: str | None = None):
@@ -98,14 +101,20 @@ class ApproximationError:
         from it than the next convergent, so q_m*p_d/q_d - p has the sign of
         q_m*alpha - p and magnitude at most 1/2.  The two ends are thus the
         exact values of ||x|| at the ends of the scaled bracket of alpha,
-        in plain integer arithmetic.
+        in plain integer arithmetic.  The result is read from, or stored
+        in, the source's memo under (m, depth).
         """
-        deep = self.source.state(self.depth - 1)
-        ends = [
-            Fraction(abs(self.q * state.p - self._nearest * state.q), state.q)
-            for state in (deep, self.source.state(self.depth - 2))
-        ]
-        return RationalBracket(min(ends), max(ends))
+        key = (self.m, self.depth)
+        bracket = self.source._brackets.get(key)
+        if bracket is None:
+            deep = self.source.state(self.depth - 1)
+            ends = [
+                Fraction(abs(self.q * state.p - self._nearest * state.q), state.q)
+                for state in (deep, self.source.state(self.depth - 2))
+            ]
+            bracket = RationalBracket(min(ends), max(ends))
+            self.source._brackets[key] = bracket
+        return bracket
 
     def refine(self, extra: int = 1) -> None:
         if extra < 1:
@@ -114,8 +123,25 @@ class ApproximationError:
         self.bracket = self._compute()
 
     def refine_to(self, target_width: Fraction, step: int = 4) -> None:
-        while self.bracket.width > target_width:
-            self.refine(step)
+        """Step the depth by `step` until the width is at most target_width.
+
+        Both ends lie on the same side (see _compute), so the width at
+        depth D is q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the
+        determinant identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The
+        test is therefore an integer product; the bracket is built once,
+        at the final depth, and only if the depth moved.
+        """
+        num, den = target_width.as_integer_ratio()
+        scaled_q = self.q * den
+        state = self.source.state
+        depth = self.depth
+        while scaled_q > num * state(depth - 1).q * state(depth - 2).q:
+            if step < 1:
+                raise ValueError("refinement step must be >= 1")
+            depth += step
+        if depth != self.depth:
+            self.depth = depth
+            self.bracket = self._compute()
 
     def __repr__(self):
         who = self.label or "?"

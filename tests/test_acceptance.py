@@ -23,7 +23,6 @@ from irrmeasure import (
     JumpSchedule,
     apply_pi,
     canonical_pairs,
-    canonical_predecessor,
     change_trace,
     check_prejump_reversal,
     check_triple_coincidence,
@@ -43,6 +42,7 @@ from irrmeasure import (
     verify_structure,
 )
 from irrmeasure.cli_io import main as cli_main
+from irrmeasure.triangle_perm import canonical_predecessor
 
 PHI = "periodic:[1;|1]"
 RT2 = "periodic:[1;|2]"

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: formats, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 import stat
@@ -201,6 +202,39 @@ def test_export_requires_a_subject(tmp_path, capsys):
     assert main(["export", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["export", "--sources", PHI, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.count('"ValueError"') == 2
+
+
+# ------------------------------------------------------------ frozen outputs
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["psi", "--source", "periodic:[1;|1]", "--t", "1", "--t-end", "700"],
+            "094828f4e3a8a3a0c3d1a67277c4e738224a20a8d19c638f1801ebf96bd67873",
+        ),
+        (
+            # q_3 = 666 is a jump of seeded:5:9; the value before it is level 2
+            ["psi", "--source", "seeded:5:9", "--t", "666", "--left"],
+            "6e2b0d5fa69d22882e69c8ec947fcea1eda1db84a72c48182a3ec4abe01e0694",
+        ),
+        (
+            ["psi", "--source", "rule:e", "--t", "1", "--t-end", "300", "--digits", "60"],
+            "e259d7dd4225ce4469e6958e3ee62757f42ca94743c80e53b48ff293dc5bc26f",
+        ),
+        (
+            ["export", "--sources", PHI, RT2, "--horizon", "5000"],
+            "c961ae9cecf4234d48464f1e1dce8ebe27d866772db7b70f889f83ca684be306",
+        ),
+    ],
+    ids=["psi-phi-700", "psi-left-seeded", "psi-e-60-digits", "export-5000"],
+)
+def test_stdout_is_frozen(capsys, argv, digest):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------- failures

@@ -16,9 +16,9 @@ from irrmeasure import (
     parse_source,
     sign_changes,
     synthesize,
-    tau_at,
     tuple_from_header,
 )
+from irrmeasure.order_dynamics import tau_at
 
 
 def pair():

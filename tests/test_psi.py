@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 import _oracle as oracle
@@ -10,19 +11,24 @@ from irrmeasure import (
     ApproximationError,
     CapExceeded,
     ComparisonUndecided,
+    ExplicitSource,
     NotAJumpPoint,
+    PeriodicSource,
     RationalBracket,
     Relation,
+    SeededSource,
+    SourceExhausted,
+    bracket,
     brute_force_psi,
     compare_psi,
     iter_brute_force_psi,
     nearest_integer_distance,
     parse_source,
-    perron_bracket,
     psi_at,
     psi_left_limit,
     separate,
 )
+from irrmeasure.psi import perron_bracket
 
 PHI = parse_source("periodic:[1;|1]")
 RT2 = parse_source("periodic:[1;|2]")
@@ -218,3 +224,139 @@ def test_psi_monotone_nonincreasing_prefix():
             assert (b.bracket.lo, b.bracket.hi) == (a.bracket.lo, a.bracket.hi)
         else:
             assert b.bracket.hi < a.bracket.lo
+
+
+# ------------------------------------------------ stopping rule and memo
+
+TARGETS = [
+    Fraction(1),
+    Fraction(3, 7),
+    Fraction(1, 10**6),
+    Fraction(1, 10**24),
+    Fraction(1, 2**80),
+]
+
+quotients = st.integers(min_value=1, max_value=9)
+# each draw rebuilds its source, so two calls give two independent sources
+source_factories = st.one_of(
+    st.builds(
+        lambda a0, pre, period: lambda: PeriodicSource([a0] + pre, period),
+        st.integers(min_value=0, max_value=3),
+        st.lists(quotients, max_size=4),
+        st.lists(quotients, min_size=1, max_size=4),
+    ),
+    st.builds(
+        lambda seed, bound: lambda: SeededSource(seed, bound),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=1, max_value=12),
+    ),
+    st.builds(
+        lambda terms: lambda: ExplicitSource([0] + terms),
+        st.lists(quotients, min_size=1, max_size=120),
+    ),
+)
+
+
+def fraction_width_refine_to(err, target_width, step):
+    """The stopping rule as it read before the integer width test."""
+    while err.bracket.width > target_width:
+        width = err.bracket.width
+        err.refine(step)
+        assert err.bracket.width < width  # a stuck bracket would loop forever
+
+
+def outcome(fn):
+    try:
+        err = fn()
+    except SourceExhausted as exc:
+        return ("exhausted", exc.index, exc.available)
+    return err.depth, err.bracket
+
+
+@given(
+    source_factories,
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=40)),
+    st.sampled_from(TARGETS),
+    st.sampled_from([1, 4]),
+)
+def test_refine_to_matches_the_fraction_width_loop(make_source, m, target, step):
+    def run(stop):
+        err = ApproximationError(make_source(), m)
+        stop(err, target, step)
+        return err
+
+    expected = outcome(lambda: run(fraction_width_refine_to))
+    got = outcome(lambda: run(ApproximationError.refine_to))
+    assert got == expected
+    if isinstance(got[0], int):
+        # the final bracket is the Fraction enclosure of ||q_m * alpha||
+        source = make_source()
+        q = source.state(m).q
+        assert got[1] == nearest_integer_distance(bracket(source, got[0]).scale(q))
+
+
+def test_refine_to_starts_at_level_zero_with_unit_first_quotient():
+    # phi: the bracket at m = 0 has the integer end 0 and its width is q_0/(q_2*q_1)
+    err = ApproximationError(PHI, 0)
+    assert err.bracket.lo == 0
+    err.refine_to(Fraction(1, 2))
+    assert err.depth == 3 and err.bracket.width == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("spec", ["periodic:[1;|1]", "rule:e", "seeded:5:9"])
+def test_bracket_memo_matches_fresh_sources(spec):
+    swept = parse_source(spec)
+    for t in range(1, 600):
+        psi_at(swept, t)
+        psi_at(swept, t, target_width=Fraction(1))
+    for t in range(3, 600):
+        try:
+            psi_left_limit(swept, t, target_width=Fraction(3, 7))
+        except NotAJumpPoint:
+            pass
+    assert swept._brackets
+    for (m, depth), memo in swept._brackets.items():
+        err = ApproximationError(parse_source(spec), m)
+        if depth > err.depth:
+            err.refine(depth - err.depth)
+        assert err.depth == depth
+        assert err.bracket == memo
+
+
+def test_refining_a_handle_leaves_later_values_alone():
+    shared, fresh = parse_source("seeded:5:9"), parse_source("seeded:5:9")
+    held = psi_at(shared, 700)
+    held_depth = held.depth
+    held.refine(5)
+    again = psi_at(shared, 700)
+    expected = psi_at(fresh, 700)
+    assert (again.m, again.depth, again.bracket) == (
+        expected.m,
+        expected.depth,
+        expected.bracket,
+    )
+    assert held.depth == held_depth + 5 and held.bracket != again.bracket
+    again.refine(1)
+    assert held.depth == held_depth + 5
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "t, target_width",
+    [
+        (10, Fraction(1, 10**24)),
+        (10, Fraction(1, 10**6)),
+        (10**6, Fraction(1)),
+        (2, Fraction(1, 2**80)),
+    ],
+)
+def test_exhausted_explicit_source_reports_its_end(warm, t, target_width):
+    # q = 1, 1, 3, 10, 43, 225, 1393, 9976, 81201; nine terms in all
+    source = parse_source("explicit:[0;1,2,3,4,5,6,7,8]")
+    if warm:
+        for s in range(1, 200):
+            psi_at(source, s, target_width=Fraction(1))
+    with pytest.raises(SourceExhausted) as info:
+        psi_at(source, t, target_width=target_width)
+    assert (info.value.index, info.value.available) == (9, 9)
+    assert len(source._states) == 9

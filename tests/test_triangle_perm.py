@@ -7,14 +7,13 @@ from irrmeasure import (
     LengthMismatch,
     apply_pi,
     canonical_pairs,
-    canonical_predecessor,
     cycle_decomposition,
-    inverse_index,
     linear_index,
     pi_order,
     render_diagram,
     triangle_size,
 )
+from irrmeasure.triangle_perm import canonical_predecessor, inverse_index
 
 
 def test_canonical_pairs_k5():
