@@ -16,7 +16,7 @@ from itertools import islice
 
 from .cf_engine import PartialQuotientSource, SeededSource, parse_source
 from .errors import ComparisonUndecided
-from .psi import DEFAULT_DEPTH_LIMIT, ApproximationError, psi_at
+from .psi import DEFAULT_DEPTH_LIMIT, psi_at
 
 OrderVector = tuple  # tuple of labels, largest value first
 
@@ -156,38 +156,48 @@ def build_events(ftuple: FunctionTuple, horizon: int) -> list:
     return events
 
 
+def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
+    """Sort the handles into strictly decreasing value and return the labels.
+
+    Every adjacent pair ends certified by disjoint brackets.  Each round
+    refines every handle that sits in an overlapping adjacent pair once,
+    however many such pairs it sits in, and re-sorts.  depth_limit bounds
+    the rounds counted from the depths the handles come in with; when it
+    is reached, the first overlapping pair is reported undecided.
+    """
+    rounds = 0
+    while True:
+        handles.sort(key=lambda e: (e.bracket.lo, e.bracket.hi), reverse=True)
+        overlapping = [
+            i
+            for i in range(len(handles) - 1)
+            if not handles[i + 1].bracket.strictly_below(handles[i].bracket)
+        ]
+        if not overlapping:
+            return tuple(e.label for e in handles)
+        if rounds >= depth_limit:
+            i = overlapping[0]
+            raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
+        for j in {j for i in overlapping for j in (i, i + 1)}:
+            handles[j].refine(1)
+        rounds += 1
+
+
+def _unit_handle(source: PartialQuotientSource, t: int, label: str):
+    return psi_at(source, t, target_width=Fraction(1), label=label)
+
+
 def order_vector_at(
     ftuple: FunctionTuple, t: int, depth_limit: int = DEFAULT_DEPTH_LIMIT
 ) -> OrderVector:
     """Labels sorted by strictly decreasing staircase value at t.
 
     All adjacent comparisons are certified by disjoint brackets; if a pair
-    cannot be separated within depth_limit refinement rounds the whole
-    ordering is undecided.
+    cannot be separated within depth_limit refinement rounds past the
+    starting depths, the whole ordering is undecided.
     """
-    errors = [
-        psi_at(source, t, target_width=Fraction(1), label=label)
-        for label, source in ftuple.members
-    ]
-    if len(errors) == 1:
-        return (errors[0].label,)
-    rounds = 0
-    while True:
-        errors.sort(key=lambda e: (e.bracket.lo, e.bracket.hi), reverse=True)
-        overlapping = [
-            (a, b)
-            for a, b in zip(errors, errors[1:])
-            if not b.bracket.strictly_below(a.bracket)
-        ]
-        if not overlapping:
-            return tuple(e.label for e in errors)
-        if rounds >= depth_limit:
-            a, b = overlapping[0]
-            raise ComparisonUndecided(t, (a.label, b.label), rounds)
-        for a, b in overlapping:
-            a.refine(1)
-            b.refine(1)
-        rounds += 1
+    handles = [_unit_handle(source, t, label) for label, source in ftuple.members]
+    return _certify(handles, t, depth_limit)
 
 
 def tau_at(ftuple: FunctionTuple, t: int) -> int:
@@ -205,13 +215,27 @@ def clamp_start(ftuple: FunctionTuple, t0: int) -> int:
     return max(t0, floor_t)
 
 
-def _change_moments(
-    ftuple: FunctionTuple, current: OrderVector, events, depth_limit: int
-):
-    """Yield a ChangeMoment at each event whose order vector differs from
-    the one before it; current is the vector in force before the first."""
+def _change_moments(ftuple: FunctionTuple, start: int, events, depth_limit: int):
+    """Yield the order vector at start, then a ChangeMoment at each event
+    whose order vector differs from the one before it.
+
+    The certified handles carry over from one event to the next: only the
+    jumping members get fresh handles, and every other member keeps its
+    handle and depth.  Their values have not moved, and their brackets were
+    pairwise disjoint at the previous event, so only pairs with a fresh
+    handle can overlap.  depth_limit bounds the rounds of each event's
+    certification, counted from the depths the handles already have.
+    """
+    sources = dict(ftuple.members)
+    handles = [_unit_handle(source, start, label) for label, source in ftuple.members]
+    current = _certify(handles, start, depth_limit)
+    yield current
     for event in events:
-        vector = order_vector_at(ftuple, event.t, depth_limit)
+        fresh = {
+            label: _unit_handle(sources[label], event.t, label) for label in event.jumping
+        }
+        handles = [fresh.get(e.label, e) for e in handles]
+        vector = _certify(handles, event.t, depth_limit)
         if vector != current:
             yield ChangeMoment(event.t, vector, event.jumping)
             current = vector
@@ -226,16 +250,19 @@ def change_trace(
     """First `count` moments after t0 at which the order vector changes.
 
     t0 is clamped up to the largest q_2 among members so that every
-    staircase is past its initial irregular levels.
+    staircase is past its initial irregular levels.  Between events a
+    member keeps its bracket and depth, so depth_limit bounds the
+    refinement rounds at each event counted from the depths the brackets
+    already have, not from fresh handles.
     """
     if ftuple.n < 2:
         raise ValueError("dynamics need at least two members")
     if count < 0:
         raise ValueError("count must be >= 0")
     start = clamp_start(ftuple, t0)
-    v0 = order_vector_at(ftuple, start, depth_limit)
-    events = iter_events(ftuple, start)
-    moments = tuple(islice(_change_moments(ftuple, v0, events, depth_limit), count))
+    stream = _change_moments(ftuple, start, iter_events(ftuple, start), depth_limit)
+    v0 = next(stream)
+    moments = tuple(islice(stream, count))
     header = {
         "sources": [[label, source.spec_string()] for label, source in ftuple.members],
         "depth_limit": depth_limit,

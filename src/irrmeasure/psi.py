@@ -82,7 +82,6 @@ class ApproximationError:
         self.label = label
         state = source.state(m)
         self.q = state.q
-        self.p = state.p
         # the integer nearest to q_m*alpha: p_m, except at m = 0 with
         # a_1 = 1, where alpha lies above a_0 + 1/2 and the lookup for
         # t = q_0 = q_1 lands on p_1 = a_0 + 1

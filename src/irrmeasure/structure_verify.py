@@ -39,7 +39,6 @@ from .order_dynamics import (
     FunctionTuple,
     clamp_start,
     iter_events,
-    order_vector_at,
 )
 from .psi import (
     DEFAULT_DEPTH_LIMIT,
@@ -143,13 +142,12 @@ def _expected_jump(pair, moment_index, offset, k):
     return residue in pair
 
 
-def _best_offset(moments, pair_of, k):
+def _best_offset(jumping_sets, pair_of, k):
     """Cyclic offset of the jump calendar that best fits the observations."""
     best = (None, None)
     for offset in range(k):
         mismatches = 0
-        for index, moment in enumerate(moments, start=1):
-            jumping = set(moment.jumping)
+        for index, jumping in enumerate(jumping_sets, start=1):
             for label, pair in pair_of.items():
                 if _expected_jump(pair, index, offset, k) != (label in jumping):
                     mismatches += 1
@@ -166,15 +164,14 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
     vectors = trace.vectors()
     n = len(trace.v0)
     horizon = moments[-1].t
+    jumping_sets = [set(moment.jumping) for moment in moments]
     items = {}
 
     # i: every moment has exactly k jumping members
     status = ItemStatus("pass")
-    for moment in moments:
-        if len(set(moment.jumping)) != k:
-            status = ItemStatus(
-                "fail", witness=(moment.t, f"tau={len(set(moment.jumping))}")
-            )
+    for moment, jumping in zip(moments, jumping_sets):
+        if len(jumping) != k:
+            status = ItemStatus("fail", witness=(moment.t, f"tau={len(jumping)}"))
             break
     items["i"] = status
 
@@ -204,13 +201,12 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
 
     pair_of = enumeration
     label_of = {pair: label for label, pair in pair_of.items()}
-    offset = _best_offset(moments, pair_of, k)
+    offset = _best_offset(jumping_sets, pair_of, k)
 
     # iii / iv: observed jumps among the moments match the residue calendar
     diag_status = ItemStatus("pass")
     off_status = ItemStatus("pass")
-    for index, moment in enumerate(moments, start=1):
-        jumping = set(moment.jumping)
+    for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
         for label, pair in pair_of.items():
             expected = _expected_jump(pair, index, offset, k)
             observed = label in jumping
@@ -229,12 +225,12 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
 
     # v: jumpers are the k largest just before, led by the diagonal component
     status = ItemStatus("pass")
-    for index, moment in enumerate(moments, start=1):
+    for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
         previous = vectors[index - 1]
         top_block = set(previous[:k])
         residue = ((index - 1 + offset) % k) + 1
         leader = label_of.get((residue, residue))
-        if set(moment.jumping) != top_block:
+        if jumping != top_block:
             status = ItemStatus(
                 "fail", witness=(moment.t, "jumping set is not the leading block")
             )
@@ -411,16 +407,18 @@ def sign_changes(
     """Certified sign reversals of the difference of a pair up to horizon.
 
     For two staircases every change of the order vector is a reversal, so
-    this counts change moments from the clamped start.
+    this counts change moments from the clamped start.  As in change_trace,
+    a member keeps its bracket between events, and depth_limit bounds the
+    refinement rounds at each event counted from the depths it already has.
     """
     if ftuple.n != 2:
         raise ValueError("sign changes are defined for a pair")
     start = clamp_start(ftuple, 1)
     if horizon < start:
         return 0
-    v0 = order_vector_at(ftuple, start, depth_limit)
     events = takewhile(lambda event: event.t <= horizon, iter_events(ftuple, start))
-    moments = order_dynamics._change_moments(ftuple, v0, events, depth_limit)
+    moments = order_dynamics._change_moments(ftuple, start, events, depth_limit)
+    next(moments)  # the order vector at start
     return sum(1 for _ in moments)
 
 

@@ -1,9 +1,13 @@
 """Merged jump events, order vectors, and change traces."""
 
+from itertools import islice, takewhile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pinned
 from irrmeasure import (
+    ApproximationError,
     ChangeTrace,
     ComparisonUndecided,
     FunctionTuple,
@@ -18,7 +22,8 @@ from irrmeasure import (
     synthesize,
     tuple_from_header,
 )
-from irrmeasure.order_dynamics import tau_at
+from irrmeasure.cf_engine import RationalBracket
+from irrmeasure.order_dynamics import ChangeMoment, iter_events, tau_at
 
 
 def pair():
@@ -184,3 +189,107 @@ def test_duplicate_labels_rejected():
         FunctionTuple.build(
             [("x", parse_source("periodic:[1;|1]")), ("x", parse_source("periodic:[1;|2]"))]
         )
+
+
+def seeded_tuple(specs):
+    return FunctionTuple.build(
+        (f"s{i}", parse_source(f"seeded:{seed}:{bound}"))
+        for i, (seed, bound) in enumerate(specs)
+    )
+
+
+def fresh_vector_moments(ftuple, start):
+    """Reference moment loop: a fresh order_vector_at at every event."""
+    current = order_vector_at(ftuple, start)
+    for event in iter_events(ftuple, start):
+        vector = order_vector_at(ftuple, event.t)
+        if vector != current:
+            yield ChangeMoment(event.t, vector, event.jumping)
+            current = vector
+
+
+# consecutive seeds from a random base, one quotient bound per member
+seeded_specs = st.builds(
+    lambda base, bounds: [(base + i, bound) for i, bound in enumerate(bounds)],
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.integers(min_value=2, max_value=9), min_size=2, max_size=15),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seeded_specs,
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+)
+def test_kept_handles_trace_matches_fresh_vectors(specs, t0, count):
+    ftuple = seeded_tuple(specs)
+    trace = change_trace(ftuple, t0, count)
+    start = clamp_start(ftuple, t0)
+    assert trace.t0 == start
+    assert trace.v0 == order_vector_at(ftuple, start)
+    assert trace.moments == tuple(islice(fresh_vector_moments(ftuple, start), count))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeded_specs.map(lambda specs: specs[:2]), st.integers(min_value=1, max_value=10**12))
+def test_kept_handles_sign_changes_match_fresh_vectors(specs, horizon):
+    ftuple = seeded_tuple(specs)
+    start = clamp_start(ftuple, 1)
+    expected = 0
+    if horizon >= start:
+        moments = fresh_vector_moments(ftuple, start)
+        expected = sum(1 for _ in takewhile(lambda m: m.t <= horizon, moments))
+    assert sign_changes(ftuple, horizon) == expected
+
+
+def test_each_handle_is_refined_at_most_once_per_round(monkeypatch):
+    # a round's refines run back to back between two overlap scans, and a
+    # scan compares brackets with strictly_below, which refine never calls
+    log = []
+    built = []
+    init, refine = ApproximationError.__init__, ApproximationError.refine
+    strictly_below = RationalBracket.strictly_below
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def logged_refine(self, extra=1):
+        log.append(self)
+        refine(self, extra)
+
+    def logged_strictly_below(self, other):
+        log.append(None)
+        return strictly_below(self, other)
+
+    monkeypatch.setattr(ApproximationError, "__init__", counting_init)
+    monkeypatch.setattr(ApproximationError, "refine", logged_refine)
+    monkeypatch.setattr(RationalBracket, "strictly_below", logged_strictly_below)
+    ftuple = seeded_tuple((1000 + i, 2 + i % 5) for i in range(15))
+    trace = change_trace(ftuple, 2, 250)
+
+    rounds, current = [], []
+    for entry in log + [None]:
+        if entry is not None:
+            current.append(entry)
+        elif current:
+            rounds.append(current)
+            current = []
+    assert rounds, "the trace made no refinement round"
+    assert all(len({id(h) for h in handles}) == len(handles) for handles in rounds)
+
+    last = trace.moments[-1].t
+    scanned = takewhile(lambda event: event.t <= last, iter_events(ftuple, trace.t0))
+    assert len(built) == ftuple.n + sum(len(event.jumping) for event in scanned)
+
+
+def test_change_trace_undecided_for_identical_pair():
+    ft = FunctionTuple.build(
+        [("a", parse_source("periodic:[1;|1]")), ("b", parse_source("periodic:[1;|1]"))]
+    )
+    with pytest.raises(ComparisonUndecided) as info:
+        change_trace(ft, 1, 5)
+    assert info.value.t == 2
+    assert set(info.value.labels) == {"a", "b"}
+    assert info.value.rounds == 64
