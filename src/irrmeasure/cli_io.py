@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shlex
 import sys
@@ -21,6 +20,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cf_engine import parse_source
@@ -50,7 +50,61 @@ CSV_HEADER = "label,t,value_lo,value_hi,kind"
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of a document, the form of every JSON output.
+
+    Bytes: dict keys sorted, two-space indent, items separated by ",\n"
+    and keys by ": ", empty containers as {} and [], strings escaped to
+    ASCII as json.dumps escapes them, ints in decimal, None/True/False as
+    null/true/false, tuples as lists, and one final newline.  This is
+    exactly json.dumps(doc, sort_keys=True, indent=2) + "\n".  It is
+    written by hand because before CPython 3.13 an indent makes json.dumps
+    skip its C encoder for the pure-Python generator one, which made JSON
+    the slowest step of the psi command.  Any other value, such as a
+    float, a Fraction or a key that is not a str, raises TypeError.
+    """
+    parts = []
+    _write_json(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list) -> None:
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -90,19 +144,19 @@ def emit(text: str, out_path: str | None) -> None:
 
 def format_decimal(x: Fraction, places: int, direction: str) -> str:
     """Fixed-point decimal, rounded outward so brackets stay brackets."""
-    scaled = x * 10**places
-    n = math.floor(scaled) if direction == "down" else math.ceil(scaled)
+    num, den = x.as_integer_ratio()
+    scaled = num * 10**places
+    n = scaled // den if direction == "down" else -(-scaled // den)
     sign = "-" if n < 0 else ""
     digits = str(abs(n)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def _places_for(hi: Fraction, minimum: int = 30) -> int:
+    num, den = hi.as_integer_ratio()
     places = minimum
-    scale = Fraction(10) ** minimum
-    while hi > 0 and hi * scale < 1:
+    while num > 0 and num * 10**places < den:
         places += 10
-        scale *= 10**10
     return places
 
 

@@ -101,6 +101,9 @@ class ChangeTrace:
         header = dict(doc["header"])
         t0 = int(header.pop("t0"))
         v0 = tuple(header.pop("v0"))
+        for label in v0:
+            if not isinstance(label, str):
+                raise ValueError(f"trace label {label!r} is not a string")
         moments = tuple(
             ChangeMoment(int(e["t"]), tuple(e["v"]), tuple(e["jumping"]))
             for e in doc["events"]

@@ -137,23 +137,21 @@ def _infer_enumeration(v0, k):
     return {label: pairs[p] for p, label in enumerate(v0)}
 
 
-def _expected_jump(pair, moment_index, offset, k):
-    residue = ((moment_index - 1 + offset) % k) + 1
-    return residue in pair
+def _best_offset(jumping_sets, calendar):
+    """Cyclic offset of the jump calendar that best fits the observations.
 
+    Ties go to the smallest offset.  A jumping label outside the
+    enumeration is a mismatch at every offset, so it changes no choice.
+    """
+    k = len(calendar)
 
-def _best_offset(jumping_sets, pair_of, k):
-    """Cyclic offset of the jump calendar that best fits the observations."""
-    best = (None, None)
-    for offset in range(k):
-        mismatches = 0
-        for index, jumping in enumerate(jumping_sets, start=1):
-            for label, pair in pair_of.items():
-                if _expected_jump(pair, index, offset, k) != (label in jumping):
-                    mismatches += 1
-        if best[0] is None or mismatches < best[0]:
-            best = (mismatches, offset)
-    return best[1]
+    def mismatches(offset):
+        return sum(
+            len(calendar[(index - 1 + offset) % k + 1] ^ jumping)
+            for index, jumping in enumerate(jumping_sets, start=1)
+        )
+
+    return min(range(k), key=mismatches)
 
 
 def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
@@ -201,18 +199,23 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
 
     pair_of = enumeration
     label_of = {pair: label for label, pair in pair_of.items()}
-    offset = _best_offset(jumping_sets, pair_of, k)
+    # the labels expected to jump at residue c, for c = 1..k
+    calendar = {
+        c: {label for label, pair in pair_of.items() if c in pair}
+        for c in range(1, k + 1)
+    }
+    offset = _best_offset(jumping_sets, calendar)
 
     # iii / iv: observed jumps among the moments match the residue calendar
     diag_status = ItemStatus("pass")
     off_status = ItemStatus("pass")
     for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
+        expected_set = calendar[(index - 1 + offset) % k + 1]
+        mismatched = expected_set ^ jumping
         for label, pair in pair_of.items():
-            expected = _expected_jump(pair, index, offset, k)
-            observed = label in jumping
-            if expected == observed:
+            if label not in mismatched:
                 continue
-            word = "expected" if expected else "unexpected"
+            word = "expected" if label in expected_set else "unexpected"
             witness = (moment.t, f"{word} jump of {label} (slot {pair})")
             if pair[0] == pair[1]:
                 if diag_status.passed:

@@ -49,7 +49,15 @@ class JumpSchedule:
 
     @classmethod
     def from_document(cls, doc: dict) -> "JumpSchedule":
-        return cls(tuple(tuple(e) for e in doc["events"]), doc.get("k"))
+        events = tuple(tuple(e) for e in doc["events"])
+        for event in events:
+            for label in event:
+                if not isinstance(label, str):
+                    raise ValueError(f"schedule label {label!r} is not a string")
+        k = doc.get("k")
+        if k is not None and type(k) is not int:
+            raise ValueError(f"schedule k={k!r} is neither an integer nor null")
+        return cls(events, k)
 
 
 def extremal_schedule(k: int, cycles: int) -> JumpSchedule:

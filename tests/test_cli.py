@@ -3,15 +3,18 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrmeasure.cli_io import (
     CSV_HEADER,
     OUTPUT_DIR_ENV,
+    _places_for,
     canonical_json,
     format_decimal,
     main,
@@ -35,6 +38,93 @@ def test_canonical_json_is_sorted_and_terminated():
     text = canonical_json({"b": 1, "a": [2, 3]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def dumps_json(doc) -> str:
+    """The json.dumps route that canonical_json must match byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, controls, non-ASCII and an astral character
+AWKWARD = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'
+TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(AWKWARD), st.characters()), max_size=6
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**4000), 10**4000), TEXT
+)
+
+
+def json_documents(depth):
+    if depth == 0:
+        return SCALARS
+    children = json_documents(depth - 1)
+    return st.one_of(
+        SCALARS,
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(TEXT, children, max_size=3),
+    )
+
+
+@settings(deadline=None)
+@given(json_documents(4))
+def test_canonical_json_matches_json_dumps(doc):
+    assert canonical_json(doc) == dumps_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{}, [], (), {"a": {}, "b": [], "c": [{}, [[]]]}, "", 0, -(10**300)]
+)
+def test_canonical_json_of_empty_and_bare_values(doc):
+    assert canonical_json(doc) == dumps_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, {"a": [Fraction(1, 3)]}, {1: "x"}, {"a": {None: 1}}, [{"x", "y"}]]
+)
+def test_canonical_json_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
+
+
+def floor_ceil_format_decimal(x, places, direction):
+    """format_decimal through a Fraction product and math.floor/math.ceil."""
+    scaled = x * 10**places
+    n = math.floor(scaled) if direction == "down" else math.ceil(scaled)
+    sign = "-" if n < 0 else ""
+    digits = str(abs(n)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+FRACTIONS = st.builds(
+    Fraction, st.integers(-(10**90), 10**90), st.integers(1, 10**90)
+)
+
+
+@given(FRACTIONS, st.integers(1, 80), st.sampled_from(["down", "up"]))
+def test_format_decimal_matches_floor_and_ceil(x, places, direction):
+    assert format_decimal(x, places, direction) == floor_ceil_format_decimal(
+        x, places, direction
+    )
+
+
+def fraction_places_for(hi, minimum=30):
+    """_places_for with a Fraction product on every pass."""
+    places = minimum
+    scale = Fraction(10) ** minimum
+    while hi > 0 and hi * scale < 1:
+        places += 10
+        scale *= 10**10
+    return places
+
+
+@given(
+    st.builds(Fraction, st.integers(-10, 10**40), st.integers(1, 10**200)),
+    st.integers(0, 80),
+)
+def test_places_for_matches_the_fraction_loop(hi, minimum):
+    assert _places_for(hi, minimum) == fraction_places_for(hi, minimum)
 
 
 def test_format_decimal_rounds_outward():
@@ -227,14 +317,33 @@ def test_export_requires_a_subject(tmp_path, capsys):
             ["export", "--sources", PHI, RT2, "--horizon", "5000"],
             "c961ae9cecf4234d48464f1e1dce8ebe27d866772db7b70f889f83ca684be306",
         ),
+        (
+            ["pi", "--k", "5", "--json"],
+            "ab828f6810905ffacef0d0924856c10757a255659d3a40d84176f4dcc11bd989",
+        ),
     ],
-    ids=["psi-phi-700", "psi-left-seeded", "psi-e-60-digits", "export-5000"],
+    ids=["psi-phi-700", "psi-left-seeded", "psi-e-60-digits", "export-5000", "pi-5-json"],
 )
 def test_stdout_is_frozen(capsys, argv, digest):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_verify_stdout_is_frozen(tmp_path, capsys):
+    # 15 members fit k = 5; from t0 = 500 the best calendar offset is 4
+    sources = [f"s{i}=seeded:{1000 + i}:{2 + i % 5}" for i in range(15)]
+    trace_path = tmp_path / "trace.json"
+    argv = ["trace", "--sources", *sources, "--t0", "500", "--count", "60"]
+    assert main([*argv, "--out", str(trace_path)]) == 0
+    assert main(["verify", "--trace", str(trace_path), "--k", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (
+        hashlib.sha256(captured.out.encode()).hexdigest()
+        == "7ed57d024bdc85ff8db6370dfc0da09454578c77edef8ac6a68fb4bde2acd485"
+    )
 
 
 # ----------------------------------------------------------------- failures
@@ -269,6 +378,29 @@ def test_infeasible_schedule_exits_4(tmp_path, capsys):
     schedule = json.dumps({"k": None, "events": [["A"], ["A", "B"], ["A", "B"]]})
     assert main(["synth", "--schedule", schedule]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleSchedule"
+
+
+@pytest.mark.parametrize(
+    "schedule, detail",
+    [
+        ({"k": None, "events": [[1, 2]]}, "schedule label 1 is not a string"),
+        ({"k": None, "events": [["A", 2.5]]}, "schedule label 2.5 is not a string"),
+        ({"k": 1.5, "events": [["A", "B"]]}, "schedule k=1.5 is neither an integer nor null"),
+        ({"k": True, "events": [["A", "B"]]}, "schedule k=True is neither an integer nor null"),
+    ],
+)
+def test_schedule_values_json_cannot_write_exit_2(capsys, schedule, detail):
+    assert main(["synth", "--schedule", json.dumps(schedule)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "detail": detail}
+
+
+def test_trace_with_a_non_string_label_exits_2(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps({"header": {"t0": "1", "v0": ["a", 7]}, "events": []}))
+    assert main(["verify", "--trace", str(trace_path), "--k", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "detail": "trace label 7 is not a string"}
 
 
 FORM = "expected extremal:k=<int>:cycles=<int>"

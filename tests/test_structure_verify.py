@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from irrmeasure import (
     ChangeMoment,
@@ -15,6 +16,7 @@ from irrmeasure import (
     UnknownLabel,
     apply_pi,
     bound_check,
+    canonical_pairs,
     check_prejump_reversal,
     check_triple_coincidence,
     parse_source,
@@ -184,6 +186,75 @@ def test_report_document_shape():
     assert doc["k"] == 2 and doc["n"] == 3
     assert doc["items"]["vi"]["name"] == "cycle_step"
     assert all(entry["status"] == "pass" for entry in doc["items"].values())
+
+
+def per_call_calendar_items(trace, k):
+    """Calendar offset and items iii/iv with one residue per (offset, moment,
+    label), the loop the verifier ran before it tabulated the calendar."""
+    pairs = canonical_pairs(k)
+    pair_of = {label: pairs[p] for p, label in enumerate(trace.v0)}
+    jumping_sets = [set(moment.jumping) for moment in trace.moments]
+
+    def expected_jump(pair, index, offset):
+        return ((index - 1 + offset) % k) + 1 in pair
+
+    best = (None, None)
+    for offset in range(k):
+        mismatches = 0
+        for index, jumping in enumerate(jumping_sets, start=1):
+            for label, pair in pair_of.items():
+                if expected_jump(pair, index, offset) != (label in jumping):
+                    mismatches += 1
+        if best[0] is None or mismatches < best[0]:
+            best = (mismatches, offset)
+    offset = best[1]
+
+    witnesses = {"iii": None, "iv": None}
+    for index, (moment, jumping) in enumerate(zip(trace.moments, jumping_sets), start=1):
+        for label, pair in pair_of.items():
+            expected = expected_jump(pair, index, offset)
+            if expected == (label in jumping):
+                continue
+            word = "expected" if expected else "unexpected"
+            key = "iii" if pair[0] == pair[1] else "iv"
+            if witnesses[key] is None:
+                witnesses[key] = [str(moment.t), f"{word} jump of {label} (slot {pair})"]
+    statuses = {key: "pass" if w is None else "fail" for key, w in witnesses.items()}
+    return offset, statuses, witnesses
+
+
+@st.composite
+def calendar_traces(draw):
+    """Traces of k(k+1)/2 labels whose jumping sets follow the residue
+    calendar at a drawn offset, each flipped by a drawn set of labels that
+    may drop members or add labels outside the enumeration."""
+    k = draw(st.integers(1, 4))
+    labels = [f"L{i}" for i in range(k * (k + 1) // 2)]
+    v0 = tuple(draw(st.permutations(labels)))
+    pairs = canonical_pairs(k)
+    pair_of = {label: pairs[p] for p, label in enumerate(v0)}
+    true_offset = draw(st.integers(0, k - 1))
+    flips = st.sets(st.sampled_from(labels + ["X", "Y"]), max_size=len(labels))
+    moments = []
+    for index, flipped in enumerate(
+        draw(st.lists(flips, min_size=2 * k + 1, max_size=3 * k + 8)), start=1
+    ):
+        residue = (index - 1 + true_offset) % k + 1
+        scheduled = {label for label, pair in pair_of.items() if residue in pair}
+        jumping = tuple(sorted(scheduled ^ flipped))
+        moments.append(ChangeMoment(2 * index, v0, jumping))
+    return ChangeTrace(1, v0, tuple(moments)), k
+
+
+@given(calendar_traces())
+def test_calendar_items_match_the_per_call_loop(case):
+    trace, k = case
+    doc = verify_structure(trace, k).to_document()
+    offset, statuses, witnesses = per_call_calendar_items(trace, k)
+    assert doc["offset"] == offset
+    for key in ("iii", "iv"):
+        assert doc["items"][key]["status"] == statuses[key]
+        assert doc["items"][key]["witness"] == witnesses[key]
 
 
 # ------------------------------------------------------------- scan checks
