@@ -91,8 +91,8 @@ class PartialQuotientSource:
     """Lazily extended sequence of partial quotients defining one number.
 
     Subclasses implement _emit(m).  Emitted terms, convergent states and
-    the psi brackets that ApproximationError builds per (level, depth) are
-    cached.  Caches only ever grow, and each entry is a frozen value fixed
+    the psi bracket ends that ApproximationError builds per (level, depth)
+    are cached.  Caches only ever grow, and each entry is a frozen value fixed
     by the quotients alone, so sharing a source between readers is
     harmless: no reader can see another's refinement depth.
     """
@@ -100,7 +100,7 @@ class PartialQuotientSource:
     def __init__(self):
         self._terms: list[int] = []
         self._states: list[ConvergentState] = []
-        self._brackets: dict[tuple[int, int], RationalBracket] = {}
+        self._brackets: dict[tuple[int, int], object] = {}  # psi._BracketEnds
 
     def _emit(self, m: int) -> int:
         raise NotImplementedError

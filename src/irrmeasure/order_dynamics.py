@@ -12,11 +12,12 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 
 from .cf_engine import PartialQuotientSource, SeededSource, parse_source
 from .errors import ComparisonUndecided
-from .psi import DEFAULT_DEPTH_LIMIT, psi_at
+from .psi import DEFAULT_DEPTH_LIMIT, psi_at, strictly_below
 
 OrderVector = tuple  # tuple of labels, largest value first
 
@@ -98,17 +99,44 @@ class ChangeTrace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "ChangeTrace":
-        header = dict(doc["header"])
-        t0 = int(header.pop("t0"))
-        v0 = tuple(header.pop("v0"))
-        for label in v0:
-            if not isinstance(label, str):
-                raise ValueError(f"trace label {label!r} is not a string")
-        moments = tuple(
-            ChangeMoment(int(e["t"]), tuple(e["v"]), tuple(e["jumping"]))
-            for e in doc["events"]
-        )
-        return cls(t0, v0, moments, header)
+        if not isinstance(doc, dict):
+            raise ValueError(f"trace must be an object, not {type(doc).__name__}")
+        header, events = doc["header"], doc["events"]
+        if not isinstance(header, dict):
+            raise ValueError(f"trace header must be an object, not {type(header).__name__}")
+        if not isinstance(events, list):
+            raise ValueError(f"trace events must be a list, not {type(events).__name__}")
+        header = dict(header)
+        t0 = _integer(header.pop("t0"), "trace t0")
+        v0 = _labels(header.pop("v0"), "trace v0")
+        return cls(t0, v0, tuple(_moment(e) for e in events), header)
+
+
+def _moment(e) -> ChangeMoment:
+    if not isinstance(e, dict):
+        raise ValueError(f"trace event must be an object, not {type(e).__name__}")
+    return ChangeMoment(
+        _integer(e["t"], "trace event t"),
+        _labels(e["v"], "trace event v"),
+        _labels(e["jumping"], "trace event jumping"),
+    )
+
+
+def _integer(value, what: str) -> int:
+    """An integer written as a JSON string or number, refused otherwise."""
+    if type(value) not in (str, int):
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def _labels(value, what: str) -> tuple:
+    """A JSON list of string labels, as a tuple."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    for label in value:
+        if not isinstance(label, str):
+            raise ValueError(f"trace label {label!r} is not a string")
+    return tuple(value)
 
 
 def _distinct_denominators(source: PartialQuotientSource, start_exclusive: int = 0):
@@ -159,22 +187,32 @@ def build_events(ftuple: FunctionTuple, horizon: int) -> list:
     return events
 
 
+def _by_ends(x, y) -> int:
+    """Compare two handles as (lo, hi) tuples, by cross-products of the ends."""
+    a, b = x.ends, y.ends
+    return a.lo_num * b.lo_den - b.lo_num * a.lo_den or (
+        a.hi_num * b.hi_den - b.hi_num * a.hi_den
+    )
+
+
 def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     """Sort the handles into strictly decreasing value and return the labels.
 
     Every adjacent pair ends certified by disjoint brackets.  Each round
     refines every handle that sits in an overlapping adjacent pair once,
-    however many such pairs it sits in, and re-sorts.  depth_limit bounds
-    the rounds counted from the depths the handles come in with; when it
-    is reached, the first overlapping pair is reported undecided.
+    however many such pairs it sits in, and re-sorts.  The sort is stable
+    and descending on (lo, hi), so equal brackets keep their order.
+    depth_limit bounds the rounds counted from the depths the handles come
+    in with; when it is reached, the first overlapping pair is reported
+    undecided.
     """
     rounds = 0
     while True:
-        handles.sort(key=lambda e: (e.bracket.lo, e.bracket.hi), reverse=True)
+        handles.sort(key=cmp_to_key(_by_ends), reverse=True)
         overlapping = [
             i
             for i in range(len(handles) - 1)
-            if not handles[i + 1].bracket.strictly_below(handles[i].bracket)
+            if not strictly_below(handles[i + 1], handles[i])
         ]
         if not overlapping:
             return tuple(e.label for e in handles)
@@ -278,9 +316,13 @@ def change_trace(
 
 def tuple_from_header(header: dict) -> FunctionTuple:
     """Rebuild the function tuple recorded in a trace header."""
-    return FunctionTuple.build(
-        (label, parse_source(spec)) for label, spec in header["sources"]
-    )
+    sources = header["sources"]
+    if not isinstance(sources, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        for pair in sources
+    ):
+        raise ValueError("trace header sources must be a list of [label, spec] strings")
+    return FunctionTuple.build((label, parse_source(spec)) for label, spec in sources)
 
 
 def distinct_vectors(trace: ChangeTrace) -> Counter:

@@ -64,12 +64,37 @@ class ComparisonVerdict:
         return self.relation is Relation.LESS
 
 
+class _BracketEnds:
+    """One memo entry: the ends lo = lo_num/lo_den <= hi = hi_num/hi_den.
+
+    The ends are kept as the integer pairs the continuant formula gives, so
+    handles are ordered and separated by cross-multiplication alone (see
+    strictly_below); the RationalBracket of the two Fractions is built the
+    first time .bracket is read and then kept here.
+    """
+
+    __slots__ = ("lo_num", "lo_den", "hi_num", "hi_den", "_bracket")
+
+    def __init__(self, lo_num: int, lo_den: int, hi_num: int, hi_den: int):
+        self.lo_num, self.lo_den = lo_num, lo_den
+        self.hi_num, self.hi_den = hi_num, hi_den
+        self._bracket = None
+
+    @property
+    def bracket(self) -> RationalBracket:
+        if self._bracket is None:
+            self._bracket = RationalBracket(
+                Fraction(self.lo_num, self.lo_den), Fraction(self.hi_num, self.hi_den)
+            )
+        return self._bracket
+
+
 class ApproximationError:
     """Refinable exact bracket for ||q_m * alpha|| at one staircase level.
 
     The handle owns its current refinement depth; refine() only ever moves
-    this object's depth.  The bracket at each (m, depth) is memoized on the
-    source, next to its term and state caches.  A bracket is a frozen value
+    this object's depth.  The ends at each (m, depth) are memoized on the
+    source, next to its term and state caches.  They are a frozen value
     fixed by the source's convergents and (m, depth) alone, so handles at
     the same level share entries without seeing each other's depth.
     """
@@ -90,9 +115,13 @@ class ApproximationError:
         # around level m; start a little deeper so the value interval is
         # clear of 0 and 1/2 straight away in typical cases.
         self.depth = max(2, m + 3)
-        self.bracket = self._compute()
+        self.ends = self._compute()
 
-    def _compute(self) -> RationalBracket:
+    @property
+    def bracket(self) -> RationalBracket:
+        return self.ends.bracket
+
+    def _compute(self) -> _BracketEnds:
         """Ends |q_m*p_d - p*q_d| / q_d for the convergents d = depth-2, depth-1.
 
         p is the integer nearest to q_m*alpha.  Every convergent p_d/q_d
@@ -100,26 +129,29 @@ class ApproximationError:
         from it than the next convergent, so q_m*p_d/q_d - p has the sign of
         q_m*alpha - p and magnitude at most 1/2.  The two ends are thus the
         exact values of ||x|| at the ends of the scaled bracket of alpha,
-        in plain integer arithmetic.  The result is read from, or stored
-        in, the source's memo under (m, depth).
+        in plain integer arithmetic, put in order by one cross-product.
+        The result is read from, or stored in, the source's memo under
+        (m, depth).
         """
         key = (self.m, self.depth)
-        bracket = self.source._brackets.get(key)
-        if bracket is None:
+        ends = self.source._brackets.get(key)
+        if ends is None:
             deep = self.source.state(self.depth - 1)
-            ends = [
-                Fraction(abs(self.q * state.p - self._nearest * state.q), state.q)
-                for state in (deep, self.source.state(self.depth - 2))
-            ]
-            bracket = RationalBracket(min(ends), max(ends))
-            self.source._brackets[key] = bracket
-        return bracket
+            shallow = self.source.state(self.depth - 2)
+            a = abs(self.q * deep.p - self._nearest * deep.q)
+            b = abs(self.q * shallow.p - self._nearest * shallow.q)
+            if a * shallow.q <= b * deep.q:
+                ends = _BracketEnds(a, deep.q, b, shallow.q)
+            else:
+                ends = _BracketEnds(b, shallow.q, a, deep.q)
+            self.source._brackets[key] = ends
+        return ends
 
     def refine(self, extra: int = 1) -> None:
         if extra < 1:
             raise ValueError("refinement step must be >= 1")
         self.depth += extra
-        self.bracket = self._compute()
+        self.ends = self._compute()
 
     def refine_to(self, target_width: Fraction, step: int = 4) -> None:
         """Step the depth by `step` until the width is at most target_width.
@@ -127,8 +159,8 @@ class ApproximationError:
         Both ends lie on the same side (see _compute), so the width at
         depth D is q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the
         determinant identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The
-        test is therefore an integer product; the bracket is built once,
-        at the final depth, and only if the depth moved.
+        test is therefore an integer product; the memo is read once, at
+        the final depth, and only if the depth moved.
         """
         num, den = target_width.as_integer_ratio()
         scaled_q = self.q * den
@@ -140,7 +172,7 @@ class ApproximationError:
             depth += step
         if depth != self.depth:
             self.depth = depth
-            self.bracket = self._compute()
+            self.ends = self._compute()
 
     def __repr__(self):
         who = self.label or "?"
@@ -206,6 +238,16 @@ def perron_bracket(
     return RationalBracket(1 / denom_hi, 1 / denom_lo)
 
 
+def strictly_below(a: ApproximationError, b: ApproximationError) -> bool:
+    """Certified: every value in a's bracket is less than every value in b's.
+
+    The top of a's bracket lies strictly under the bottom of b's; the test
+    is one cross-multiplication of the integer ends, with no Fraction.
+    """
+    x, y = a.ends, b.ends
+    return x.hi_num * y.lo_den < y.lo_num * x.hi_den
+
+
 def separate(
     a: ApproximationError,
     b: ApproximationError,
@@ -220,14 +262,14 @@ def separate(
     handles describe the same number and level.
     """
     rounds = 0
-    while a.bracket.intersects(b.bracket):
+    while not (strictly_below(a, b) or strictly_below(b, a)):
         if rounds >= depth_limit:
             raise ComparisonUndecided(t, (a.label, b.label), rounds)
         a.refine(1)
         b.refine(1)
         rounds += 1
     depth = max(a.depth, b.depth)
-    if a.bracket.strictly_below(b.bracket):
+    if strictly_below(a, b):
         return ComparisonVerdict(Relation.LESS, depth)
     return ComparisonVerdict(Relation.GREATER, depth)
 

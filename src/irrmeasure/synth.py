@@ -49,15 +49,21 @@ class JumpSchedule:
 
     @classmethod
     def from_document(cls, doc: dict) -> "JumpSchedule":
-        events = tuple(tuple(e) for e in doc["events"])
+        if not isinstance(doc, dict):
+            raise ValueError(f"schedule must be an object, not {type(doc).__name__}")
+        events = doc["events"]
+        if not isinstance(events, list):
+            raise ValueError(f"schedule events must be a list, not {type(events).__name__}")
         for event in events:
+            if not isinstance(event, list):
+                raise ValueError(f"schedule event must be a list, not {type(event).__name__}")
             for label in event:
                 if not isinstance(label, str):
                     raise ValueError(f"schedule label {label!r} is not a string")
         k = doc.get("k")
         if k is not None and type(k) is not int:
             raise ValueError(f"schedule k={k!r} is neither an integer nor null")
-        return cls(events, k)
+        return cls(tuple(tuple(event) for event in events), k)
 
 
 def extremal_schedule(k: int, cycles: int) -> JumpSchedule:

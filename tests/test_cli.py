@@ -346,6 +346,41 @@ def test_verify_stdout_is_frozen(tmp_path, capsys):
     )
 
 
+SEEDED_15 = [f"s{i}=seeded:{1000 + i}:{2 + i % 5}" for i in range(15)]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["trace", "--sources", *SEEDED_15, "--t0", "500", "--count", "60"],
+            "53b078f4a5e3d0cb8a62724eacdd8ae17a15a7418abe9e4cdf8fbe1b029c1a16",
+        ),
+        (
+            ["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "200"],
+            "3757dc0f8e1e09b2c3a98cc8109a17523450a349a86ff76b6ce7a1cbaec65462",
+        ),
+    ],
+    ids=["trace-15-from-500", "trace-phi-rt2-200"],
+)
+def test_trace_stdout_is_frozen(capsys, argv, digest):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_undecided_stderr_is_frozen(capsys):
+    argv = ["trace", "--sources", "a=periodic:[1;|1]", "b=periodic:[1;|1]", "--count", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        hashlib.sha256(captured.err.encode()).hexdigest()
+        == "473602e0d201ea07dccd7e98667bc893cf4cc8c416ae659ba39a296889bf4157"
+    )
+
+
 # ----------------------------------------------------------------- failures
 
 
@@ -401,6 +436,74 @@ def test_trace_with_a_non_string_label_exits_2(tmp_path, capsys):
     assert main(["verify", "--trace", str(trace_path), "--k", "1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "detail": "trace label 7 is not a string"}
+
+
+@pytest.mark.parametrize(
+    "schedule, detail",
+    [
+        ("[1]", "schedule must be an object, not list"),
+        ('{"events": 5}', "schedule events must be a list, not int"),
+        ('"x"', "schedule must be an object, not str"),
+        ('{"events": ["AB"]}', "schedule event must be a list, not str"),
+    ],
+)
+def test_schedule_of_the_wrong_shape_exits_2(capsys, schedule, detail):
+    assert main(["synth", "--schedule", schedule]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "detail": detail}
+
+
+HEADER = {"t0": "1", "v0": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        ([], "trace must be an object, not list"),
+        ({"header": [], "events": []}, "trace header must be an object, not list"),
+        ({"header": HEADER, "events": 3}, "trace events must be a list, not int"),
+        (
+            {"header": {**HEADER, "t0": None}, "events": []},
+            "trace t0 must be an integer, not NoneType",
+        ),
+        ({"header": {**HEADER, "v0": "ab"}, "events": []}, "trace v0 must be a list, not str"),
+        ({"header": HEADER, "events": [7]}, "trace event must be an object, not int"),
+        (
+            {"header": HEADER, "events": [{"t": [2], "v": ["a"], "jumping": []}]},
+            "trace event t must be an integer, not list",
+        ),
+        (
+            {"header": HEADER, "events": [{"t": "2", "v": "a", "jumping": []}]},
+            "trace event v must be a list, not str",
+        ),
+        (
+            {"header": HEADER, "events": [{"t": "2", "v": ["a"], "jumping": 1}]},
+            "trace event jumping must be a list, not int",
+        ),
+        (
+            {"header": HEADER, "events": [{"t": "2", "v": ["a"], "jumping": [3]}]},
+            "trace label 3 is not a string",
+        ),
+    ],
+)
+def test_trace_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, detail):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(doc))
+    assert main(["verify", "--trace", str(trace_path), "--k", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize("sources", [5, [["a"]], [["a", 7]], [[1, "periodic:[1;|1]"]]])
+def test_export_of_a_trace_with_bad_sources_exits_2(tmp_path, capsys, sources):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps({"header": {**HEADER, "sources": sources}, "events": []}))
+    assert main(["export", "--trace", str(trace_path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "ValueError",
+        "detail": "trace header sources must be a list of [label, spec] strings",
+    }
 
 
 FORM = "expected extremal:k=<int>:cycles=<int>"

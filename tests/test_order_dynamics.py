@@ -3,7 +3,7 @@
 from itertools import islice, takewhile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pinned
 from irrmeasure import (
@@ -22,7 +22,7 @@ from irrmeasure import (
     synthesize,
     tuple_from_header,
 )
-from irrmeasure.cf_engine import RationalBracket
+from irrmeasure import order_dynamics
 from irrmeasure.order_dynamics import ChangeMoment, iter_events, tau_at
 
 
@@ -245,11 +245,11 @@ def test_kept_handles_sign_changes_match_fresh_vectors(specs, horizon):
 
 def test_each_handle_is_refined_at_most_once_per_round(monkeypatch):
     # a round's refines run back to back between two overlap scans, and a
-    # scan compares brackets with strictly_below, which refine never calls
+    # scan compares handles with psi.strictly_below, which refine never calls
     log = []
     built = []
     init, refine = ApproximationError.__init__, ApproximationError.refine
-    strictly_below = RationalBracket.strictly_below
+    strictly_below = order_dynamics.strictly_below
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
@@ -259,13 +259,13 @@ def test_each_handle_is_refined_at_most_once_per_round(monkeypatch):
         log.append(self)
         refine(self, extra)
 
-    def logged_strictly_below(self, other):
+    def logged_strictly_below(a, b):
         log.append(None)
-        return strictly_below(self, other)
+        return strictly_below(a, b)
 
     monkeypatch.setattr(ApproximationError, "__init__", counting_init)
     monkeypatch.setattr(ApproximationError, "refine", logged_refine)
-    monkeypatch.setattr(RationalBracket, "strictly_below", logged_strictly_below)
+    monkeypatch.setattr(order_dynamics, "strictly_below", logged_strictly_below)
     ftuple = seeded_tuple((1000 + i, 2 + i % 5) for i in range(15))
     trace = change_trace(ftuple, 2, 250)
 
@@ -293,3 +293,74 @@ def test_change_trace_undecided_for_identical_pair():
     assert info.value.t == 2
     assert set(info.value.labels) == {"a", "b"}
     assert info.value.rounds == 64
+
+
+# --------------------------------------- integer scan against Fraction keys
+
+
+def certify_by_fractions(handles, t, depth_limit):
+    """The moment loop's scan on Fraction (lo, hi) keys, kept as the oracle."""
+    rounds = 0
+    while True:
+        handles.sort(key=lambda e: (e.bracket.lo, e.bracket.hi), reverse=True)
+        overlapping = [
+            i
+            for i in range(len(handles) - 1)
+            if not handles[i + 1].bracket.strictly_below(handles[i].bracket)
+        ]
+        if not overlapping:
+            return tuple(e.label for e in handles)
+        if rounds >= depth_limit:
+            i = overlapping[0]
+            raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
+        for j in {j for i in overlapping for j in (i, i + 1)}:
+            handles[j].refine(1)
+        rounds += 1
+
+
+def outcome(call):
+    try:
+        return call()
+    except ComparisonUndecided as exc:
+        return exc.t, exc.labels, exc.rounds
+
+
+def dynamics(specs, t, count, horizon, depth_limit):
+    ftuple = seeded_tuple(specs)
+    pair = FunctionTuple(seeded_tuple(specs).members[:2])
+    return (
+        outcome(lambda: order_vector_at(ftuple, t, depth_limit)),
+        outcome(lambda: change_trace(ftuple, t, count, depth_limit)),
+        outcome(lambda: sign_changes(pair, horizon, depth_limit)),
+    )
+
+
+# seeds from a pool of five repeat often, so equal brackets tie in the sort;
+# small t and bounds make brackets touch, and small depth limits leave
+# pairs undecided
+certify_specs = st.lists(
+    st.tuples(
+        st.integers(0, 4) | st.integers(5, 10**6),
+        st.integers(min_value=2, max_value=4),
+    ),
+    min_size=2,
+    max_size=15,
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    certify_specs,
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=10**8),
+    st.integers(min_value=0, max_value=6) | st.just(16),
+)
+@example([(1, 3), (0, 2)], 1, 0, 1, 0)  # at t = 1 the second's lo is the first's hi
+@example([(3, 2), (7, 4), (3, 2)], 40, 5, 10**6, 64)  # s0 and s2 are one number
+@example([(1, 3), (2, 2), (2, 3)], 11, 2, 276627, 1)  # sorting on hi first differs
+def test_integer_scan_matches_fraction_keys(specs, t, count, horizon, depth_limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(order_dynamics, "_certify", certify_by_fractions)
+        expected = dynamics(specs, t, count, horizon, depth_limit)
+    assert dynamics(specs, t, count, horizon, depth_limit) == expected

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import _oracle as oracle
@@ -320,7 +320,7 @@ def test_bracket_memo_matches_fresh_sources(spec):
         if depth > err.depth:
             err.refine(depth - err.depth)
         assert err.depth == depth
-        assert err.bracket == memo
+        assert err.bracket == memo.bracket
 
 
 def test_refining_a_handle_leaves_later_values_alone():
@@ -360,3 +360,82 @@ def test_exhausted_explicit_source_reports_its_end(warm, t, target_width):
         psi_at(source, t, target_width=target_width)
     assert (info.value.index, info.value.available) == (9, 9)
     assert len(source._states) == 9
+
+
+# ------------------------------------------- integer ends against Fractions
+
+
+def fraction_bracket(source, m, depth):
+    """The bracket as Fractions: min and max of the two ends at (m, depth)."""
+    q = source.state(m).q
+    nearest = source.state(source.seek(q + 1) - 1).p
+    ends = [
+        Fraction(abs(q * state.p - nearest * state.q), state.q)
+        for state in (source.state(depth - 1), source.state(depth - 2))
+    ]
+    return RationalBracket(min(ends), max(ends))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "periodic:[1;|1]",  # a_1 = 1: at m = 0 the nearest integer is p_1
+        "periodic:[0;3,1|2,7]",
+        "seeded:5:9",
+        "seeded:11:2",
+        "explicit:[2;1,4," + ",".join(str(1 + i % 5) for i in range(50)) + "]",
+        "explicit:[0;2," + ",".join(str(1 + (i * 7) % 11) for i in range(50)) + "]",
+    ],
+    ids=["phi", "periodic", "seeded-5-9", "seeded-11-2", "explicit-a1-1", "explicit-a1-2"],
+)
+def test_integer_ends_give_the_fraction_bracket(spec):
+    source = parse_source(spec)
+    for m in range(41):
+        err = ApproximationError(source, m)
+        for _ in range(4):
+            assert err.bracket == fraction_bracket(source, m, err.depth)
+            # one bracket per (m, depth), shared by every handle there
+            assert ApproximationError(source, m).bracket is ApproximationError(source, m).bracket
+            err.refine(1)
+
+
+def separate_by_fractions(a, b, depth_limit):
+    """separate() on the Fraction brackets, kept as the oracle of the integer test."""
+    rounds = 0
+    while a.bracket.intersects(b.bracket):
+        if rounds >= depth_limit:
+            raise ComparisonUndecided(None, (a.label, b.label), rounds)
+        a.refine(1)
+        b.refine(1)
+        rounds += 1
+    relation = Relation.LESS if a.bracket.strictly_below(b.bracket) else Relation.GREATER
+    return relation, max(a.depth, b.depth)
+
+
+def separation(decide, specs, t, depth_limit):
+    a, b = (psi_at(parse_source(spec), t, Fraction(1), spec) for spec in specs)
+    try:
+        return decide(a, b, depth_limit)
+    except ComparisonUndecided as exc:
+        return exc.t, exc.labels, exc.rounds
+
+
+# small seeds and bounds so that equal and touching brackets both occur
+small_specs = st.builds("seeded:{}:{}".format, st.integers(0, 9), st.integers(2, 3))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.tuples(small_specs, small_specs),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=6),
+)
+@example(("seeded:1:3", "seeded:0:2"), 1, 0)  # the first bracket's hi is the second's lo
+def test_separate_matches_the_fraction_test(specs, t, depth_limit):
+    def by_integers(a, b, limit):
+        verdict = separate(a, b, limit)
+        return verdict.relation, verdict.depth
+
+    assert separation(by_integers, specs, t, depth_limit) == separation(
+        separate_by_fractions, specs, t, depth_limit
+    )
