@@ -123,32 +123,35 @@ def _primorial(bound):
 _SMALL_PRIME_PRODUCT = _primorial(2000)
 
 
-def _solve_event(congruences, lower_bound, search_bound, coprime_to=1):
-    """Least Q >= lower_bound satisfying all congruences, coprime to the pool.
+def _solve_event(congruences, lower_bound, search_bound, owned, small):
+    """Least Q >= lower_bound satisfying all congruences, coprime to every owned q.
 
-    coprime_to is the product of every denominator any member already owns.
-    Keeping each event value coprime to it means no two values ever share a
+    owned lists every denominator any label already owns.  Keeping each
+    event value coprime to all of them means no two values ever share a
     factor, so later merges can only conflict when two members carry the
-    same modulus, which is the genuinely unrealizable situation.  A solution
-    coprime to the pool always exists: each member congruence already forces
-    the value coprime to that member's modulus, and stepping by the merged
-    modulus escapes any prime outside it.
+    same modulus, which is the genuinely unrealizable situation.  Such a
+    solution always exists: each member congruence already forces the value
+    coprime to that member's modulus, and stepping by the merged modulus
+    escapes any prime outside it.
 
-    Most candidates share a prime below 2000 with the pool, so each is first
-    tested against small = gcd(pool, product of those primes), a number of
-    a few thousand bits.  The sieve is exact: small divides the pool, so a
-    candidate with gcd(Q, small) != 1 has gcd(Q, pool) != 1 and the full
-    test would reject it too.  A candidate that passes the sieve still gets
-    the full test.  Both tests together accept exactly the candidates the
-    full test alone accepts, in the same order, so the returned Q is the
-    same least admissible value and search_bound counts the same candidates.
+    small, the product of the primes below 2000 dividing some owned q (the
+    gcd of their product with the primorial), rejects most candidates, and
+    only ones sharing a prime with an owned q.  A survivor is tested against
+    each owned q but the event's moduli: a member's congruence
+    Q = q_prev (mod q) gives gcd(Q, q) = gcd(q_prev, q) = 1, as consecutive
+    convergent denominators are coprime, user prefixes included, since they
+    are ExplicitSource terms.  Q is coprime to every owned q exactly when it
+    is coprime to their product, so these tests accept the candidates one
+    gcd against that product would, in the same order: the same least Q
+    comes back and search_bound counts the same candidates.
     """
     r, m = merge_congruences(congruences)
     if r < lower_bound:
         r += ((lower_bound - r + m - 1) // m) * m
-    small = math.gcd(coprime_to, _SMALL_PRIME_PRODUCT)
+    moduli = {modulus for _, modulus in congruences}
+    others = [q for q in owned if q not in moduli]
     for _ in range(search_bound):
-        if math.gcd(r, small) == 1 and math.gcd(r, coprime_to) == 1:
+        if math.gcd(r, small) == 1 and all(math.gcd(r, q) == 1 for q in others):
             return r
         r += m
     raise InfeasibleSchedule(
@@ -231,8 +234,8 @@ def synthesize(
     """Realize a schedule as explicit quotient lists with exact coincidences.
 
     Each event's shared denominator is the smallest solution of the
-    members' congruences that exceeds the previous event, dodges every
-    bystander's existing denominators, and keeps every derived quotient
+    members' congruences that exceeds the previous event, is coprime to
+    every denominator already owned, and keeps every derived quotient
     >= 1.  Members absent from an event simply do not advance, so their
     next denominator lands beyond it automatically.
     """
@@ -241,17 +244,17 @@ def synthesize(
         prefixes = default_prefixes(labels)
     quotients = {}
     states = {}
-    pool = 1
+    owned = []
     for label in labels:
         terms = list(prefixes[label])
         if len(terms) < 2:
             raise ValueError("each prefix needs at least a_0 and a_1")
         source = ExplicitSource(terms)
         quotients[label] = terms
-        state = source.state(len(terms) - 1)
-        states[label] = (state.q, state.q_prev, len(terms) - 1)
-        for i in range(len(terms)):
-            pool *= source.state(i).q
+        qs = [source.state(i).q for i in range(len(terms))]
+        states[label] = (qs[-1], qs[-2], len(terms) - 1)
+        owned += qs
+    small = math.lcm(*(math.gcd(q, _SMALL_PRIME_PRODUCT) for q in owned))
     event_values = []
     certificates = []
     last_q = 0
@@ -262,7 +265,7 @@ def synthesize(
             q, q_prev, _ = states[label]
             congruences.append((q_prev % q, q))
             lower = max(lower, q + q_prev)
-        value = _solve_event(congruences, lower, search_bound, pool)
+        value = _solve_event(congruences, lower, search_bound, owned, small)
         certs = []
         for label in sorted(event):
             q, q_prev, m = states[label]
@@ -276,7 +279,8 @@ def synthesize(
             certs.append(EventCertificate(label, q, q_prev % q, quotient, m + 1))
         event_values.append(value)
         certificates.append(tuple(certs))
-        pool *= value
+        owned.append(value)
+        small = math.lcm(small, math.gcd(value, _SMALL_PRIME_PRODUCT))
         last_q = value
     return SynthesisResult(
         schedule,

@@ -5,9 +5,10 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irrmeasure import (
+    EventCertificate,
     ExplicitSource,
     InfeasibleSchedule,
     JumpSchedule,
@@ -180,9 +181,13 @@ def brute_force_synthesis(events, prefixes):
     Each event value is the least Q >= the lower bound (above the previous
     event, and at least q + q_prev for every member so that its quotient is
     >= 1) with Q = q_prev (mod q) for every member and gcd(Q, d) = 1 for every
-    denominator d already owned.  The scan walks the first member's residue
-    class upward.  An event whose congruences have no common solution over a
-    whole period of their moduli raises InfeasibleSchedule.
+    denominator d already owned.  The scan takes the members one at a time.
+    The common solutions found so far form one residue class modulo their
+    period; it walks whichever of that class and the next member's has the
+    larger modulus upward from the lower bound, testing the other, and gives
+    up after a whole period of the two.  It then steps by the full period
+    past solutions that share a factor with an owned denominator.  An event
+    whose congruences have no common solution raises InfeasibleSchedule.
     """
     states = {}
     owned = []
@@ -197,18 +202,19 @@ def brute_force_synthesis(events, prefixes):
     for event in events:
         members = [states[label] for label in event]
         lower = max([last + 1] + [q + q_prev for q, q_prev in members])
-        first_q, first_prev = members[0]
-        start = lower + (first_prev - lower) % first_q
-        period = math.lcm(*(q for q, _ in members))
-
-        def solves(x):
-            return all((x - q_prev) % q == 0 for q, q_prev in members)
-
-        if not any(solves(x) for x in range(start, start + period, first_q)):
-            raise InfeasibleSchedule("no common solution")
-        value = start
-        while not (solves(value) and all(math.gcd(value, d) == 1 for d in owned)):
-            value += first_q
+        value, period = lower, 1
+        for member in members:
+            (walk, a), (test, b) = sorted([(period, value), member], reverse=True)
+            start = lower + (a - lower) % walk
+            period = math.lcm(walk, test)
+            value = next(
+                (x for x in range(start, start + period, walk) if (x - b) % test == 0),
+                None,
+            )
+            if value is None:
+                raise InfeasibleSchedule("no common solution")
+        while not all(math.gcd(value, d) == 1 for d in owned):
+            value += period
         for label in event:
             q, q_prev = states[label]
             quotients[label].append((value - q_prev) // q)
@@ -227,6 +233,8 @@ def brute_force_synthesis(events, prefixes):
     ),
     st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2), min_size=3, max_size=3),
 )
+@example([("A", "B"), ("B", "C"), ("B",), ("A", "B", "C")], [[1], [3, 4], [4]])
+@example([("A", "B", "C"), ("A",), ("B",), ("A", "B", "C")], [[4, 3], [1], [1, 4]])
 def test_tiny_schedules_match_brute_force(events, tails):
     schedule = JumpSchedule(tuple(events))
     prefixes = {label: [0, *tail] for label, tail in zip("ABC", tails)}
@@ -251,6 +259,114 @@ def test_large_prime_in_the_pool_blocks_a_candidate():
     assert (result.event_values, result.quotients) == brute_force_synthesis(
         events, prefixes
     )
+
+
+def pool_product_synthesis(schedule, prefixes, search_bound):
+    """Event values, quotients and certificates by the pool-product search.
+
+    The reference for synthesize's per-denominator coprimality test: every
+    candidate gets one gcd against pool, the product of every denominator
+    already owned.
+    """
+    quotients = {}
+    states = {}
+    pool = 1
+    for label in schedule.labels:
+        qs = denominators(prefixes[label])
+        quotients[label] = list(prefixes[label])
+        states[label] = (qs[-1], qs[-2], len(qs) - 1)
+        pool *= math.prod(qs)
+    values = []
+    certificates = []
+    last = 0
+    for event in schedule.events:
+        members = sorted(event)
+        r, m = merge_congruences(
+            [(states[label][1] % states[label][0], states[label][0]) for label in members]
+        )
+        lower = max([last + 1] + [states[label][0] + states[label][1] for label in members])
+        if r < lower:
+            r += ((lower - r + m - 1) // m) * m
+        for _ in range(search_bound):
+            if math.gcd(r, pool) == 1:
+                break
+            r += m
+        else:
+            raise InfeasibleSchedule(
+                f"no value coprime to the existing pool within {search_bound} steps"
+            )
+        certs = []
+        for label in members:
+            q, q_prev, index = states[label]
+            quotient = (r - q_prev) // q
+            quotients[label].append(quotient)
+            states[label] = (r, q, index + 1)
+            certs.append(EventCertificate(label, q, q_prev % q, quotient, index + 1))
+        values.append(r)
+        certificates.append(tuple(certs))
+        pool *= r
+        last = r
+    return (
+        tuple(values),
+        {label: tuple(terms) for label, terms in quotients.items()},
+        tuple(certificates),
+    )
+
+
+# 2003, 2011 and 2017 are primes above the small-prime sieve.  A member whose
+# first quotient is p - 1 has p as its first candidate, and p or a small
+# multiple of it among the owned denominators leaves a candidate divisible by
+# p for the per-denominator test alone to reject
+LARGE_PRIME_TERMS = (1, 2, 3, 2002, 2003, 2010, 2011, 2016, 2017, 4006, 6033, 10085)
+
+
+@st.composite
+def schedules_with_prefixes(draw):
+    if draw(st.booleans()):
+        schedule = extremal_schedule(draw(st.integers(2, 4)), draw(st.integers(1, 3)))
+    else:
+        events = draw(
+            st.lists(
+                st.sets(st.sampled_from("ABCD"), min_size=1).map(
+                    lambda s: tuple(sorted(s))
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        schedule = JumpSchedule(tuple(events))
+    prefixes = {
+        label: [
+            0,
+            draw(st.sampled_from(LARGE_PRIME_TERMS)),
+            *draw(st.lists(st.integers(1, 3), max_size=1)),
+        ]
+        for label in schedule.labels
+    }
+    return schedule, prefixes
+
+
+@settings(deadline=None, max_examples=60)
+@given(schedules_with_prefixes(), st.sampled_from((1, 2, 10**6)))
+# 2003 is C's denominator and A's first candidate: only the factor test sees it
+@example((JumpSchedule((("A",), ("C",))), {"A": [0, 2002], "C": [0, 2003]}), 10**6)
+# Y's jump to 4014017 lifts X's first quotient to 2003, so X's first candidate
+# 2003 * 2005 shares 2003 with X's q_prev: a member's current denominator may
+# go untested, its earlier ones may not
+@example(
+    (JumpSchedule((("Y",), ("X",))), {"X": [0, 2003, 1], "Y": [0, 4014016]}), 10**6
+)
+def test_synthesis_matches_the_pool_product_search(drawn, search_bound):
+    schedule, prefixes = drawn
+    try:
+        expected = pool_product_synthesis(schedule, prefixes, search_bound)
+    except InfeasibleSchedule as exc:
+        with pytest.raises(InfeasibleSchedule) as raised:
+            synthesize(schedule, search_bound, prefixes)
+        assert str(raised.value) == str(exc)
+        return
+    result = synthesize(schedule, search_bound, prefixes)
+    assert (result.event_values, result.quotients, result.certificates) == expected
 
 
 def document_sha256(result):
