@@ -87,26 +87,54 @@ def extremal_schedule(k: int, cycles: int) -> JumpSchedule:
     return JumpSchedule(tuple(events), k=k)
 
 
+def _crt_steps(pairs):
+    """merge_congruences' (r, M), and the digits of each of its steps.
+
+    Step j merges x = residue_j (mod q_j) into x = r (mod m), with
+    g_j = gcd(m, q_j) and step_j = q_j / g_j: its digit t_j in [0, step_j)
+    makes r_j = r + m t_j the solution modulo P_j = m step_j.  steps[j] is
+    (r_j, m / g_j, t_j, step_j).
+    """
+    r, m = 0, 1
+    steps = []
+    for residue, modulus in pairs:
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        residue %= modulus
+        try:
+            inverse = pow(m, -1, modulus)
+        except ValueError:
+            g = math.gcd(m, modulus)
+            if (residue - r) % g:
+                raise InfeasibleSchedule(
+                    f"congruences x = {r} (mod {m}) and x = {residue} (mod {modulus}) conflict"
+                ) from None
+            cofactor, step = m // g, modulus // g
+            digit = (residue - r) // g * pow(cofactor, -1, step)
+        else:
+            cofactor, step, digit = m, modulus, (residue - r) % modulus * inverse
+        digit %= step
+        r += m * digit
+        m *= step
+        steps.append((r, cofactor, digit, step))
+    return r, m, steps
+
+
 def merge_congruences(pairs):
     """Smallest representation (r, M) of a simultaneous congruence system.
 
     pairs holds (residue, modulus) entries; non-coprime moduli are merged
     through their gcd g and the inverse of M/g modulo modulus/g.  Raises
     InfeasibleSchedule on contradiction.
+
+    Each step tries pow(M, -1, modulus) first.  It raises ValueError exactly
+    when g > 1; otherwise g = 1 and the inverse is the one the gcd route
+    takes, so (r, M) is the same.  Only then is g computed and the conflict
+    tested, against the same r and M, so the message is the same too.  In
+    synthesize g > 1 takes prefix denominators sharing a factor, or one
+    modulus twice, since each event value is coprime to all owned ones.
     """
-    r, m = 0, 1
-    for residue, modulus in pairs:
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        residue %= modulus
-        g = math.gcd(m, modulus)
-        if (residue - r) % g:
-            raise InfeasibleSchedule(
-                f"congruences x = {r} (mod {m}) and x = {residue} (mod {modulus}) conflict"
-            )
-        step = modulus // g
-        r += m * ((residue - r) // g * pow(m // g, -1, step) % step)
-        m *= step
+    r, m, _ = _crt_steps(pairs)
     return r, m
 
 
@@ -144,19 +172,49 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small):
     is coprime to their product, so these tests accept the candidates one
     gcd against that product would, in the same order: the same least Q
     comes back and search_bound counts the same candidates.
+
+    Returns Q, the merge's steps and u = (Q - r) / M for the merged (r, M),
+    counted along the search rather than divided out.
     """
-    r, m = merge_congruences(congruences)
+    r, m, steps = _crt_steps(congruences)
+    u = 0
     if r < lower_bound:
-        r += ((lower_bound - r + m - 1) // m) * m
+        u = (lower_bound - r + m - 1) // m
+        r += u * m
     moduli = {modulus for _, modulus in congruences}
     others = [q for q in owned if q not in moduli]
     for _ in range(search_bound):
         if math.gcd(r, small) == 1 and all(math.gcd(r, q) == 1 for q in others):
-            return r
+            return r, steps, u
         r += m
+        u += 1
     raise InfeasibleSchedule(
         f"no value coprime to the existing pool within {search_bound} steps"
     )
+
+
+def _member_quotients(members, steps, u):
+    """Each member's quotient (Q - q_prev) / q, read off the merge's digits.
+
+    members lists the event's (q, q_prev) in merge order; steps and u come
+    from _solve_event.  Later steps only add multiples of P_j, so
+    Q = r_j + P_j U_j with U_k = u and, by r_j = r_{j-1} + P_{j-1} t_j and
+    P_j = P_{j-1} step_j, U_{j-1} = t_j + step_j U_j.  As P_j / q_j is the
+    cofactor P_{j-1} / g_j,
+
+        (Q - q_prev_j) / q_j = (r_j - q_prev_j) / q_j + cofactor_j U_j,
+
+    exactly, since r_j = q_prev_j (mod q_j).  The division is of r_j < P_j:
+    r_1 is q_prev mod q, and only the last member's r_k is as large as Q,
+    so it alone still divides a full-size number.
+    """
+    us = [u]
+    for _, _, digit, step in steps[:0:-1]:
+        us.append(digit + step * us[-1])
+    return [
+        (r - q_prev) // q + cofactor * u
+        for (q, q_prev), (r, cofactor, _, _), u in zip(members, steps, us[::-1])
+    ]
 
 
 @dataclass(frozen=True)
@@ -259,17 +317,13 @@ def synthesize(
     certificates = []
     last_q = 0
     for event in schedule.events:
-        congruences = []
-        lower = last_q + 1
-        for label in sorted(event):
-            q, q_prev, _ = states[label]
-            congruences.append((q_prev % q, q))
-            lower = max(lower, q + q_prev)
-        value = _solve_event(congruences, lower, search_bound, owned, small)
+        members = [states[label][:2] for label in sorted(event)]
+        congruences = [(q_prev % q, q) for q, q_prev in members]
+        lower = max([last_q + 1] + [q + q_prev for q, q_prev in members])
+        value, steps, u = _solve_event(congruences, lower, search_bound, owned, small)
         certs = []
-        for label in sorted(event):
+        for label, quotient in zip(sorted(event), _member_quotients(members, steps, u)):
             q, q_prev, m = states[label]
-            quotient = (value - q_prev) // q
             if quotient < 1:
                 raise QuotientUnderflow(
                     f"derived quotient {quotient} for {label} at Q={value}"

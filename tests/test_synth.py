@@ -369,6 +369,68 @@ def test_synthesis_matches_the_pool_product_search(drawn, search_bound):
     assert (result.event_values, result.quotients, result.certificates) == expected
 
 
+def plain_division_quotients(schedule, prefixes, event_values):
+    """Each event's member quotients as (value - q_prev) // q, in label order."""
+    states = {label: denominators(terms)[-2:] for label, terms in prefixes.items()}
+    out = []
+    for event, value in zip(schedule.events, event_values):
+        row = []
+        for label in sorted(event):
+            q_prev, q = states[label]
+            row.append((value - q_prev) // q)
+            states[label] = [q, value]
+        out.append(row)
+    return out
+
+
+DIGIT_CASES = {
+    # moduli 2 and 4 share the factor 2 and their residues agree: g > 1
+    "shared-factor": (JumpSchedule((("A", "B"),)), {"A": [0, 2], "B": [0, 4]}),
+    # a_1 = 1 gives q_0 = q_1 = 1, so q_prev >= q, and a modulus of 1
+    "a1-is-1": (
+        JumpSchedule((("A", "B"), ("A",), ("A", "B"))),
+        {"A": [0, 1], "B": [0, 3]},
+    ),
+    # the least solution above the bound, 6007, is C's denominator, so the
+    # search steps on to 12013: U_k = 2 feeds both members' digits
+    "search-steps": (
+        JumpSchedule((("A", "B"), ("C",))),
+        {"A": [0, 2002], "B": [0, 3], "C": [0, 6007]},
+    ),
+    # four and five members: three and four merge steps per event
+    "extremal-k4": (extremal_schedule(4, 3), None),
+    "extremal-k5": (extremal_schedule(5, 2), None),
+}
+
+
+@pytest.mark.parametrize("case", DIGIT_CASES)
+def test_digit_quotients_match_plain_division(case):
+    schedule, prefixes = DIGIT_CASES[case]
+    prefixes = prefixes or default_prefixes(schedule.labels)
+    result = synthesize(schedule, prefixes=prefixes)
+    assert [[c.quotient for c in certs] for certs in result.certificates] == (
+        plain_division_quotients(schedule, prefixes, result.event_values)
+    )
+    expected = pool_product_synthesis(schedule, prefixes, 10**6)
+    assert (result.event_values, result.quotients, result.certificates) == expected
+
+
+def test_search_steps_case_steps_past_the_least_solution():
+    schedule, prefixes = DIGIT_CASES["search-steps"]
+    r, m = merge_congruences([(1, 2002), (1, 3)])
+    assert (r, m) == (1, 6006)
+    assert synthesize(schedule, prefixes=prefixes).event_values[0] == 1 + 2 * m
+
+
+def test_merge_congruences_conflict_messages():
+    with pytest.raises(InfeasibleSchedule) as raised:
+        merge_congruences([(0, 4), (1, 2)])
+    assert str(raised.value) == "congruences x = 0 (mod 4) and x = 1 (mod 2) conflict"
+    with pytest.raises(InfeasibleSchedule) as raised:
+        merge_congruences([(0, 7), (1, 7)])
+    assert str(raised.value) == "congruences x = 0 (mod 7) and x = 1 (mod 7) conflict"
+
+
 def document_sha256(result):
     return hashlib.sha256(canonical_json(result.to_document()).encode()).hexdigest()
 
