@@ -11,13 +11,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
 
 from .cf_engine import PartialQuotientSource, SeededSource, parse_source
 from .errors import ComparisonUndecided
-from .psi import DEFAULT_DEPTH_LIMIT, psi_at, strictly_below
+from .psi import DEFAULT_DEPTH_LIMIT, level_handle, strictly_below
 
 OrderVector = tuple  # tuple of labels, largest value first
 
@@ -188,7 +187,9 @@ def build_events(ftuple: FunctionTuple, horizon: int) -> list:
 
 
 def _by_ends(x, y) -> int:
-    """Compare two handles as (lo, hi) tuples, by cross-products of the ends."""
+    """Compare handles as (lo, hi): by first-order bounds, else cross-products."""
+    if x.floor > y.ceil or y.floor > x.ceil:
+        return y.floor - x.floor
     a, b = x.ends, y.ends
     return a.lo_num * b.lo_den - b.lo_num * a.lo_den or (
         a.hi_num * b.hi_den - b.hi_num * a.hi_den
@@ -224,10 +225,6 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
         rounds += 1
 
 
-def _unit_handle(source: PartialQuotientSource, t: int, label: str):
-    return psi_at(source, t, target_width=Fraction(1), label=label)
-
-
 def order_vector_at(
     ftuple: FunctionTuple, t: int, depth_limit: int = DEFAULT_DEPTH_LIMIT
 ) -> OrderVector:
@@ -237,7 +234,7 @@ def order_vector_at(
     cannot be separated within depth_limit refinement rounds past the
     starting depths, the whole ordering is undecided.
     """
-    handles = [_unit_handle(source, t, label) for label, source in ftuple.members]
+    handles = [level_handle(source, t, label) for label, source in ftuple.members]
     return _certify(handles, t, depth_limit)
 
 
@@ -268,12 +265,12 @@ def _change_moments(ftuple: FunctionTuple, start: int, events, depth_limit: int)
     certification, counted from the depths the handles already have.
     """
     sources = dict(ftuple.members)
-    handles = [_unit_handle(source, start, label) for label, source in ftuple.members]
+    handles = [level_handle(source, start, label) for label, source in ftuple.members]
     current = _certify(handles, start, depth_limit)
     yield current
     for event in events:
         fresh = {
-            label: _unit_handle(sources[label], event.t, label) for label in event.jumping
+            label: level_handle(sources[label], event.t, label) for label in event.jumping
         }
         handles = [fresh.get(e.label, e) for e in handles]
         vector = _certify(handles, event.t, depth_limit)

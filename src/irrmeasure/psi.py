@@ -67,10 +67,9 @@ class ComparisonVerdict:
 class _BracketEnds:
     """One memo entry: the ends lo = lo_num/lo_den <= hi = hi_num/hi_den.
 
-    The ends are kept as the integer pairs the continuant formula gives, so
-    handles are ordered and separated by cross-multiplication alone (see
-    strictly_below); the RationalBracket of the two Fractions is built the
-    first time .bracket is read and then kept here.
+    Handles are ordered and separated by cross-multiplying these integers
+    (see strictly_below); the RationalBracket of the two Fractions is built
+    the first time .bracket is read and then kept here.
     """
 
     __slots__ = ("lo_num", "lo_den", "hi_num", "hi_den", "_bracket")
@@ -97,6 +96,14 @@ class ApproximationError:
     source, next to its term and state caches.  They are a frozen value
     fixed by the source's convergents and (m, depth) alone, so handles at
     the same level share entries without seeing each other's depth.
+
+    At depth D the ends are K_d/q_d, d = D-2, D-1: ||x|| at convergents of
+    q_m*alpha.  With p_n nearest q_m*alpha (n = m, or n = 1 at m = 0 with
+    a_1 = 1), K_d = |q_m*p_d - p_n*q_d| is the tail continuant, stepped by
+    K_d = a_d*K_{d-1} + K_{d-2} from K_n = 0, K_{n+1} = 1; end d is the
+    lower one iff d - n is even.  For n = m, 1/||q_m*alpha|| = q_{m+1} +
+    q_m/alpha_{m+2} puts each end's reciprocal in [floor, ceil] =
+    [q_{m+1}, q_{m+1} + q_m]; n = 1 starts at the end 0: (0, inf).
     """
 
     def __init__(self, source: PartialQuotientSource, m: int, label: str | None = None):
@@ -105,78 +112,86 @@ class ApproximationError:
         self.source = source
         self.m = m
         self.label = label
-        state = source.state(m)
-        self.q = state.q
-        # the integer nearest to q_m*alpha: p_m, except at m = 0 with
-        # a_1 = 1, where alpha lies above a_0 + 1/2 and the lookup for
-        # t = q_0 = q_1 lands on p_1 = a_0 + 1
-        self._nearest = source.state(source.seek(self.q + 1) - 1).p
-        # depth m+1 already brackets alpha strictly between convergents
-        # around level m; start a little deeper so the value interval is
-        # clear of 0 and 1/2 straight away in typical cases.
-        self.depth = max(2, m + 3)
-        self.ends = self._compute()
+        following = source.state(m + 1)
+        self.q, q_next = following.q_prev, following.q
+        self._n = 1 if q_next == self.q else m
+        self.floor, self.ceil = (0, math.inf) if self._n != m else (q_next, q_next + self.q)
+        # the first depth whose ends d = m+1, m+2 are both past n = m, so nonzero
+        self.depth = m + 3
+        self.ends = self._ends_at(self.depth, self._n + 1, 0, 1)
 
     @property
     def bracket(self) -> RationalBracket:
         return self.ends.bracket
 
-    def _compute(self) -> _BracketEnds:
-        """Ends |q_m*p_d - p*q_d| / q_d for the convergents d = depth-2, depth-1.
-
-        p is the integer nearest to q_m*alpha.  Every convergent p_d/q_d
-        past that level lies on the same side of p/q_m as alpha, no further
-        from it than the next convergent, so q_m*p_d/q_d - p has the sign of
-        q_m*alpha - p and magnitude at most 1/2.  The two ends are thus the
-        exact values of ||x|| at the ends of the scaled bracket of alpha,
-        in plain integer arithmetic, put in order by one cross-product.
-        The result is read from, or stored in, the source's memo under
-        (m, depth).
-        """
-        key = (self.m, self.depth)
+    def _ends_at(self, depth: int, top: int, shallow: int, deep: int) -> _BracketEnds:
+        """Memo entry at (m, depth); a miss steps (K_{top-1}, K_top) =
+        (shallow, deep) up to depth - 1.  The state read first caches the
+        quotients, so an explicit source runs out where it always did."""
+        key = (self.m, depth)
         ends = self.source._brackets.get(key)
         if ends is None:
-            deep = self.source.state(self.depth - 1)
-            shallow = self.source.state(self.depth - 2)
-            a = abs(self.q * deep.p - self._nearest * deep.q)
-            b = abs(self.q * shallow.p - self._nearest * shallow.q)
-            if a * shallow.q <= b * deep.q:
-                ends = _BracketEnds(a, deep.q, b, shallow.q)
+            deepest = self.source.state(depth - 1)
+            terms = self.source._terms
+            for d in range(top + 1, depth):
+                shallow, deep = deep, terms[d] * deep + shallow
+            if (depth - self._n) % 2:
+                ends = _BracketEnds(deep, deepest.q, shallow, deepest.q_prev)
             else:
-                ends = _BracketEnds(b, shallow.q, a, deep.q)
+                ends = _BracketEnds(shallow, deepest.q_prev, deep, deepest.q)
             self.source._brackets[key] = ends
         return ends
+
+    def _move_to(self, depth: int) -> None:
+        e = self.ends  # (K_{D-2}, K_{D-1}) at D = self.depth, by the parity rule
+        pair = (e.hi_num, e.lo_num) if (self.depth - self._n) % 2 else (e.lo_num, e.hi_num)
+        self.ends = self._ends_at(depth, self.depth - 1, *pair)
+        self.depth = depth
 
     def refine(self, extra: int = 1) -> None:
         if extra < 1:
             raise ValueError("refinement step must be >= 1")
-        self.depth += extra
-        self.ends = self._compute()
+        self._move_to(self.depth + extra)
 
     def refine_to(self, target_width: Fraction, step: int = 4) -> None:
         """Step the depth by `step` until the width is at most target_width.
 
-        Both ends lie on the same side (see _compute), so the width at
-        depth D is q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the
-        determinant identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The
-        test is therefore an integer product; the memo is read once, at
-        the final depth, and only if the depth moved.
+        Both ends lie on the same side of p_n, so the width at depth D is
+        q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the determinant
+        identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The test is
+        therefore an integer product; the memo is read once, at the final
+        depth, and only if the depth moved.
         """
         num, den = target_width.as_integer_ratio()
         scaled_q = self.q * den
-        state = self.source.state
         depth = self.depth
-        while scaled_q > num * state(depth - 1).q * state(depth - 2).q:
+        deepest = self.source.state(depth - 1)
+        while scaled_q > num * deepest.q * deepest.q_prev:
             if step < 1:
                 raise ValueError("refinement step must be >= 1")
             depth += step
+            deepest = self.source.state(depth - 1)
         if depth != self.depth:
-            self.depth = depth
-            self.ends = self._compute()
+            self._move_to(depth)
 
     def __repr__(self):
         who = self.label or "?"
         return f"ApproximationError({who}, m={self.m}, q={self.q}, width={float(self.bracket.width):.3e})"
+
+
+def level_handle(
+    source: PartialQuotientSource, t: int, label: str | None = None
+) -> ApproximationError:
+    """Handle for the staircase value at integer t, at its starting depth.
+
+    The level is the largest m with q_m <= t (ties at q = 1 resolve to the
+    larger m), found by looking up the first q > t; an explicit source that
+    runs out first raises SourceExhausted, which is the honest answer.  The
+    width at the starting depth m + 3 is q_m/(q_{m+1}*q_{m+2}) <= 1.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    return ApproximationError(source, source.seek(t + 1) - 1, label)
 
 
 def psi_at(
@@ -185,15 +200,8 @@ def psi_at(
     target_width: Fraction = DEFAULT_TARGET_WIDTH,
     label: str | None = None,
 ) -> ApproximationError:
-    """Staircase value at integer t as a refinable exact bracket.
-
-    The level is the largest m with q_m <= t (ties at q = 1 resolve to the
-    larger m), found by looking up the first q > t; an explicit source that
-    runs out first raises SourceExhausted, which is the honest answer.
-    """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    err = ApproximationError(source, source.seek(t + 1) - 1, label)
+    """Staircase value at integer t as a refinable exact bracket (see level_handle)."""
+    err = level_handle(source, t, label)
     err.refine_to(target_width)
     return err
 
@@ -241,9 +249,12 @@ def perron_bracket(
 def strictly_below(a: ApproximationError, b: ApproximationError) -> bool:
     """Certified: every value in a's bracket is less than every value in b's.
 
-    The top of a's bracket lies strictly under the bottom of b's; the test
-    is one cross-multiplication of the integer ends, with no Fraction.
+    The top of a's bracket lies strictly under the bottom of b's: at once
+    if the first-order bounds are apart (strictly, as a closed bracket can
+    reach them), else by one cross-multiplication of the integer ends.
     """
+    if a.floor > b.ceil or b.floor > a.ceil:
+        return a.floor > b.ceil
     x, y = a.ends, b.ends
     return x.hi_num * y.lo_den < y.lo_num * x.hi_den
 

@@ -15,6 +15,8 @@ pi has order k; its cycle structure depends only on the parity of k.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import IndexOutOfRange, LengthMismatch
 
 
@@ -76,10 +78,14 @@ def _source_pair(k: int, i: int, j: int):
     return (i + 1, j + 1)
 
 
+@lru_cache(maxsize=16)
+def _sigma(k: int) -> tuple:
+    return tuple(linear_index(k, *_source_pair(k, i, j)) - 1 for i, j in canonical_pairs(k))
+
+
 def position_permutation(k: int) -> list:
     """sigma with out[p] = in[sigma[p]], both 0-based over the linearization."""
-    pairs = canonical_pairs(k)
-    return [linear_index(k, *_source_pair(k, i, j)) - 1 for (i, j) in pairs]
+    return list(_sigma(k))
 
 
 def apply_pi(k: int, vector):
@@ -88,8 +94,7 @@ def apply_pi(k: int, vector):
     vector = tuple(vector)
     if len(vector) != n:
         raise LengthMismatch(f"vector length {len(vector)} != {n} for k={k}")
-    sigma = position_permutation(k)
-    return tuple(vector[s] for s in sigma)
+    return tuple(vector[s] for s in _sigma(k))
 
 
 def pi_order(k: int) -> int:

@@ -1,5 +1,6 @@
 """Merged jump events, order vectors, and change traces."""
 
+import hashlib
 from itertools import islice, takewhile
 
 import pytest
@@ -16,6 +17,7 @@ from irrmeasure import (
     change_trace,
     clamp_start,
     distinct_vectors,
+    extremal_schedule,
     order_vector_at,
     parse_source,
     sign_changes,
@@ -364,3 +366,21 @@ def test_integer_scan_matches_fraction_keys(specs, t, count, horizon, depth_limi
         patch.setattr(order_dynamics, "_certify", certify_by_fractions)
         expected = dynamics(specs, t, count, horizon, depth_limit)
     assert dynamics(specs, t, count, horizon, depth_limit) == expected
+
+
+def test_extremal_window_moments_are_pinned():
+    # k = 3, cycles = 6 with filler tails, events up to the sixth-last event
+    # value: 10 moments, pinned as sha256 over t in hex, the vector and the
+    # jumping labels.  The moment loop runs directly, since the trace header
+    # would write quotients past the 4300-digit guard.
+    result = synthesize(extremal_schedule(3, 6))
+    ftuple = FunctionTuple.build(result.padded_sources(extra=60).items())
+    start, horizon = clamp_start(ftuple, 1), result.event_values[-6]
+    events = takewhile(lambda event: event.t <= horizon, iter_events(ftuple, start))
+    v0, *moments = order_dynamics._change_moments(ftuple, start, events, 64)
+    assert len(moments) == 10
+    lines = [" ".join(v0)] + [
+        f"{m.t:x} {' '.join(m.vector)} | {' '.join(m.jumping)}" for m in moments
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "aecca3c514967047b851fb38882daffb1af1b796335d88adc2745ad629118f7d"

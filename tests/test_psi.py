@@ -1,5 +1,6 @@
 """Staircase evaluation, Perron cross-checks, and exact comparisons."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from irrmeasure import (
     psi_left_limit,
     separate,
 )
-from irrmeasure.psi import perron_bracket
+from irrmeasure.order_dynamics import _by_ends
+from irrmeasure.psi import perron_bracket, strictly_below
 
 PHI = parse_source("periodic:[1;|1]")
 RT2 = parse_source("periodic:[1;|2]")
@@ -439,3 +441,163 @@ def test_separate_matches_the_fraction_test(specs, t, depth_limit):
     assert separation(by_integers, specs, t, depth_limit) == separation(
         separate_by_fractions, specs, t, depth_limit
     )
+
+
+# ------------------------------------------ tail continuants and first order
+
+
+def product_ends(source, m, depth):
+    """Ends at (m, depth) by the product formula |q_m*p_d - p*q_d| / q_d.
+
+    p is the integer nearest to q_m*alpha, found by looking up the level of
+    t = q_m; the ends are put in order by one cross-product.  It reads the
+    level, the lookup past q_m, then the states at depth - 1 and depth - 2,
+    so a twin source that only it reads shows where a handle must run out.
+    """
+    q = source.state(m).q
+    nearest = source.state(source.seek(q + 1) - 1).p
+    deep, shallow = source.state(depth - 1), source.state(depth - 2)
+    a = abs(q * deep.p - nearest * deep.q)
+    b = abs(q * shallow.p - nearest * shallow.q)
+    if a * shallow.q <= b * deep.q:
+        return a, deep.q, b, shallow.q
+    return b, shallow.q, a, deep.q
+
+
+def product_psi_at(source, t, target_width):
+    """psi_at by the product formula: the level, the width loop, the ends."""
+    m = source.seek(t + 1) - 1
+    depth = m + 3
+    product_ends(source, m, depth)
+    q = source.state(m).q
+    while q > target_width * source.state(depth - 1).q * source.state(depth - 2).q:
+        depth += 4
+    return m, depth, product_ends(source, m, depth)
+
+
+def integer_ends(err):
+    e = err.ends
+    return e.lo_num, e.lo_den, e.hi_num, e.hi_den
+
+
+def seen(fn, source):
+    """fn's value, or where it ran out, with how far the source was read."""
+    try:
+        value = fn()
+    except SourceExhausted as exc:
+        value = ("exhausted", exc.index, exc.available)
+    return value, len(source._states), len(source._terms)
+
+
+INTEGER_END_SPECS = [
+    "periodic:[1;|1]",
+    "periodic:[0;3,1|2,7]",
+    "seeded:5:9",
+    "seeded:11:2",
+    "explicit:[2;1,4," + ",".join(str(1 + i % 5) for i in range(50)) + "]",
+    "explicit:[0;2," + ",".join(str(1 + (i * 7) % 11) for i in range(50)) + "]",
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    INTEGER_END_SPECS,
+    ids=["phi", "periodic", "seeded-5-9", "seeded-11-2", "explicit-a1-1", "explicit-a1-2"],
+)
+def test_continuant_ends_match_the_product_formula(spec):
+    # a twin source, read only by the product formula, runs out at the same
+    # index after the same number of states as the one the handles read
+    source, twin = parse_source(spec), parse_source(spec)
+    steps = [1, 2, 1, 3] * 3
+    for m in range(41):
+        err = ApproximationError(source, m)
+        assert seen(lambda: integer_ends(err), source) == seen(
+            lambda: product_ends(twin, m, m + 3), twin
+        )
+        q, q_next = source.state(m).q, source.state(m + 1).q
+        if q_next == q:  # m = 0 with a_1 = 1: the ends start at 0
+            assert (err.floor, err.ceil) == (0, math.inf)
+        else:
+            assert (err.floor, err.ceil) == (q_next, q_next + q)
+        for step in steps:
+            depth = err.depth + step
+            got = seen(lambda: err.refine(step) or integer_ends(err), source)
+            assert got == seen(lambda: product_ends(twin, m, depth), twin)
+            if got[0][0] == "exhausted":
+                assert err.depth == depth - step  # a handle that ran out keeps its ends
+                break
+            lo_num, lo_den, hi_num, hi_den = got[0]
+            # every end's reciprocal lies in [floor, ceil]
+            assert err.floor * hi_num <= hi_den and lo_den <= err.ceil * lo_num
+        # a second handle walks one depth at a time, from the entries the
+        # first one left in the memo and from its own
+        again = ApproximationError(source, m)
+        while again.depth < err.depth:
+            again.refine(1)
+            assert integer_ends(again) == product_ends(twin, m, again.depth)
+
+
+EXPLICIT_SPECS = [
+    "explicit:[0;1,2,3,4,5,6,7,8]",
+    "explicit:[0;1]",
+    "explicit:[0;2]",
+    "explicit:[1;1,1]",
+    "explicit:[0;3,1,2]",
+    "explicit:[2;1,4,1,1,5,2,9]",
+]
+
+
+@pytest.mark.parametrize("spec", EXPLICIT_SPECS)
+def test_explicit_sources_run_out_where_the_product_formula_does(spec):
+    source, twin = parse_source(spec), parse_source(spec)
+    terms = len(source.terms_list)
+    for m in range(terms + 1):
+        got = seen(lambda: integer_ends(ApproximationError(source, m)), source)
+        assert got == seen(lambda: product_ends(twin, m, m + 3), twin)
+    # every denominator and its neighbours, and t past the last one; the
+    # twin's states are all cached by now, so this reads nothing more
+    ts = {state.q + d for state in twin._states for d in (-1, 0, 1)} | {2, 3, 10**6}
+
+    def psi_outcome(t, target):
+        err = psi_at(source, t, target)
+        return err.m, err.depth, integer_ends(err)
+
+    for target in [Fraction(1), Fraction(1, 10**6), Fraction(1, 10**24)]:
+        for t in sorted(ts - {0}):
+            got = seen(lambda: psi_outcome(t, target), source)
+            assert got == seen(lambda: product_psi_at(twin, t, target), twin)
+
+
+handle_specs = st.one_of(
+    small_specs,
+    st.builds("seeded:{}:{}".format, st.integers(0, 99), st.integers(1, 12)),
+    st.sampled_from(["periodic:[1;|1]", "periodic:[1;|2]", "rule:e"]),
+)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.tuples(handle_specs, handle_specs),
+    st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+)
+# the level of t = 1 for both: the closed brackets touch at 1/3, where the
+# first one's ceil 3 equals the second one's floor
+@example(("seeded:3:3", "seeded:6:2"), (1, 1), (0, 0))
+def test_first_order_verdicts_agree_with_the_cross_products(specs, levels, extras):
+    a, b = (ApproximationError(parse_source(spec), m, spec) for spec, m in zip(specs, levels))
+    for err, extra in zip((a, b), extras):
+        if extra:
+            err.refine(extra)
+    for x, y in ((a, b), (b, a)):
+        cross = x.ends.hi_num * y.ends.lo_den < y.ends.lo_num * x.ends.hi_den
+        if x.floor > y.ceil:
+            assert cross
+        assert strictly_below(x, y) == cross == x.bracket.strictly_below(y.bracket)
+    key_a, key_b = (a.bracket.lo, a.bracket.hi), (b.bracket.lo, b.bracket.hi)
+    assert sign(_by_ends(a, b)) == (key_a > key_b) - (key_a < key_b)
+    assert sign(_by_ends(b, a)) == (key_b > key_a) - (key_b < key_a)

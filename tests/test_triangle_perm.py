@@ -13,7 +13,7 @@ from irrmeasure import (
     render_diagram,
     triangle_size,
 )
-from irrmeasure.triangle_perm import canonical_predecessor, inverse_index
+from irrmeasure.triangle_perm import canonical_predecessor, inverse_index, position_permutation
 
 
 def test_canonical_pairs_k5():
@@ -150,3 +150,14 @@ def test_render_diagram_with_vector():
     assert text == "x  z\ny"
     with pytest.raises(LengthMismatch):
         render_diagram(2, ("x", "y"))
+
+
+def test_position_permutation_is_a_fresh_list_each_call():
+    # apply_pi reads a table kept per k; a caller's list is its own
+    sigma = position_permutation(4)
+    assert apply_pi(4, range(10)) == tuple(sigma)
+    sigma.reverse()
+    assert position_permutation(4) != sigma
+    assert apply_pi(4, range(10)) == tuple(position_permutation(4))
+    with pytest.raises(IndexOutOfRange):
+        apply_pi(0, ())
