@@ -68,9 +68,6 @@ class RationalBracket:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
     def encloses(self, other: "RationalBracket") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -90,9 +87,10 @@ class RationalBracket:
 class PartialQuotientSource:
     """Lazily extended sequence of partial quotients defining one number.
 
-    Subclasses implement _emit(m).  Emitted terms, convergent states and
-    the psi bracket ends that ApproximationError builds per (level, depth)
-    are cached.  Caches only ever grow, and each entry is a frozen value fixed
+    Subclasses implement _emit(m).  Emitted terms, convergent states, the
+    psi bracket ends that ApproximationError builds per (level, depth) and
+    the depth its refine_to settles on per (level, start, width, step) are
+    cached.  Caches only ever grow, and each entry is a frozen value fixed
     by the quotients alone, so sharing a source between readers is
     harmless: no reader can see another's refinement depth.
     """
@@ -101,6 +99,7 @@ class PartialQuotientSource:
         self._terms: list[int] = []
         self._states: list[ConvergentState] = []
         self._brackets: dict[tuple[int, int], object] = {}  # psi._BracketEnds
+        self._settled: dict[tuple[int, int, int, int, int], int] = {}
 
     def _emit(self, m: int) -> int:
         raise NotImplementedError

@@ -250,6 +250,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    if args.digits < 0:
+        raise ValueError(f"--digits must be >= 0, got {args.digits}")
     source = parse_source(args.source)
     width = Fraction(1, 10**args.digits)
     rows = []

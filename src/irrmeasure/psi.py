@@ -21,6 +21,7 @@ from .errors import CapExceeded, ComparisonUndecided, NotAJumpPoint
 DEFAULT_TARGET_WIDTH = Fraction(1, 2**80)
 DEFAULT_DEPTH_LIMIT = 64
 DEFAULT_ORACLE_CAP = 100_000
+_STEP = 4  # refine_to's default step, which psi_at and psi_left_limit use
 
 
 def fractional_distance(x: Fraction) -> Fraction:
@@ -106,9 +107,17 @@ class ApproximationError:
     [q_{m+1}, q_{m+1} + q_m]; n = 1 starts at the end 0: (0, inf).
     """
 
-    def __init__(self, source: PartialQuotientSource, m: int, label: str | None = None):
+    def __init__(
+        self,
+        source: PartialQuotientSource,
+        m: int,
+        label: str | None = None,
+        depth: int | None = None,
+    ):
         if m < 0:
             raise ValueError("level index must be >= 0")
+        if depth is not None and depth < m + 3:
+            raise ValueError("a handle starts at depth >= m + 3")
         self.source = source
         self.m = m
         self.label = label
@@ -116,8 +125,9 @@ class ApproximationError:
         self.q, q_next = following.q_prev, following.q
         self._n = 1 if q_next == self.q else m
         self.floor, self.ceil = (0, math.inf) if self._n != m else (q_next, q_next + self.q)
-        # the first depth whose ends d = m+1, m+2 are both past n = m, so nonzero
-        self.depth = m + 3
+        # the first depth whose ends d = m+1, m+2 are both past n = m, so
+        # nonzero; a deeper one gives the same ends as refining up to it
+        self.depth = m + 3 if depth is None else depth
         self.ends = self._ends_at(self.depth, self._n + 1, 0, 1)
 
     @property
@@ -153,24 +163,36 @@ class ApproximationError:
             raise ValueError("refinement step must be >= 1")
         self._move_to(self.depth + extra)
 
-    def refine_to(self, target_width: Fraction, step: int = 4) -> None:
+    def refine_to(self, target_width: Fraction, step: int = _STEP) -> None:
         """Step the depth by `step` until the width is at most target_width.
 
         Both ends lie on the same side of p_n, so the width at depth D is
         q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the determinant
         identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The test is
-        therefore an integer product; the memo is read once, at the final
-        depth, and only if the depth moved.
+        therefore an integer product; the ends memo is read once, at the
+        final depth, and only if the depth moved.
+
+        The depth the search settles on is fixed by the quotients and
+        (m, starting depth, target_width.as_integer_ratio(), step), so it is
+        memoized on the source under that key; a search that raises
+        (SourceExhausted, a step below 1) stores nothing.  A target_width
+        that is not positive raises ValueError before anything is read.
         """
-        num, den = target_width.as_integer_ratio()
-        scaled_q = self.q * den
-        depth = self.depth
-        deepest = self.source.state(depth - 1)
-        while scaled_q > num * deepest.q * deepest.q_prev:
-            if step < 1:
-                raise ValueError("refinement step must be >= 1")
-            depth += step
+        self._settle(*_width_ratio(target_width), step)
+
+    def _settle(self, num: int, den: int, step: int) -> None:
+        key = (self.m, self.depth, num, den, step)
+        depth = self.source._settled.get(key)
+        if depth is None:
+            scaled_q = self.q * den
+            depth = self.depth
             deepest = self.source.state(depth - 1)
+            while scaled_q > num * deepest.q * deepest.q_prev:
+                if step < 1:
+                    raise ValueError("refinement step must be >= 1")
+                depth += step
+                deepest = self.source.state(depth - 1)
+            self.source._settled[key] = depth
         if depth != self.depth:
             self._move_to(depth)
 
@@ -179,19 +201,49 @@ class ApproximationError:
         return f"ApproximationError({who}, m={self.m}, q={self.q}, width={float(self.bracket.width):.3e})"
 
 
+def _width_ratio(target_width: Fraction) -> tuple[int, int]:
+    """target_width > 0 as (num, den): the memo's key, as hashing a Fraction
+    costs a modular inverse.  No depth reaches a width <= 0."""
+    num, den = target_width.as_integer_ratio()
+    if num <= 0:
+        raise ValueError("target width must be positive")
+    return num, den
+
+
+def _refined(
+    source: PartialQuotientSource, m: int, width: tuple[int, int], label: str | None
+) -> ApproximationError:
+    """A fresh handle at level m, refined to width = (num, den) from m + 3.
+
+    When the source's memo holds that search, the handle is built at the
+    settled depth at once: the same (m, depth, ends), with no width test.
+    """
+    depth = source._settled.get((m, m + 3, *width, _STEP))
+    err = ApproximationError(source, m, label, depth)
+    if depth is None:
+        err._settle(*width, _STEP)
+    return err
+
+
+def _level(source: PartialQuotientSource, t: int) -> int:
+    """The largest m with q_m <= t (ties at q = 1 resolve to the larger m).
+
+    It looks up the first q > t; an explicit source that runs out first
+    raises SourceExhausted, which is the honest answer.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    return source.seek(t + 1) - 1
+
+
 def level_handle(
     source: PartialQuotientSource, t: int, label: str | None = None
 ) -> ApproximationError:
     """Handle for the staircase value at integer t, at its starting depth.
 
-    The level is the largest m with q_m <= t (ties at q = 1 resolve to the
-    larger m), found by looking up the first q > t; an explicit source that
-    runs out first raises SourceExhausted, which is the honest answer.  The
-    width at the starting depth m + 3 is q_m/(q_{m+1}*q_{m+2}) <= 1.
+    The width at the starting depth m + 3 is q_m/(q_{m+1}*q_{m+2}) <= 1.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    return ApproximationError(source, source.seek(t + 1) - 1, label)
+    return ApproximationError(source, _level(source, t), label)
 
 
 def psi_at(
@@ -200,10 +252,16 @@ def psi_at(
     target_width: Fraction = DEFAULT_TARGET_WIDTH,
     label: str | None = None,
 ) -> ApproximationError:
-    """Staircase value at integer t as a refinable exact bracket (see level_handle)."""
-    err = level_handle(source, t, label)
-    err.refine_to(target_width)
-    return err
+    """Staircase value at integer t as a refinable exact bracket.
+
+    A fresh handle, as level_handle's after refine_to(target_width).  That
+    search's depth is memoized on the source under (m, m + 3,
+    target_width.as_integer_ratio(), 4), and a later call with that key
+    builds its handle there at once; a search that raises stores nothing.
+    A target_width <= 0 raises ValueError before the source is read.
+    """
+    width = _width_ratio(target_width)
+    return _refined(source, _level(source, t), width, label)
 
 
 def psi_left_limit(
@@ -215,16 +273,16 @@ def psi_left_limit(
     """Value held just before the jump at t, i.e. the previous level.
 
     t must be a convergent denominator q_m with m >= 2; anything else is
-    NotAJumpPoint.
+    NotAJumpPoint.  The handle is refined, and its depth memoized, as in
+    psi_at.
     """
+    width = _width_ratio(target_width)
     if t < 2:
         raise NotAJumpPoint(f"t={t} is below every jump with m >= 2")
     m = source.seek(t)
     if source.state(m).q != t or m < 2:
         raise NotAJumpPoint(f"t={t} is not a denominator with index >= 2")
-    err = ApproximationError(source, m - 1, label)
-    err.refine_to(target_width)
-    return err
+    return _refined(source, m - 1, width, label)
 
 
 def perron_bracket(

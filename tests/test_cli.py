@@ -409,6 +409,14 @@ def test_exhausted_source_exits_4(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "SourceExhausted"
 
 
+def test_negative_digits_exits_2(capsys):
+    argv = ["psi", "--source", "periodic:[1;|1]", "--t", "5", "--digits", "-3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": "--digits must be >= 0, got -3"}
+
+
 def test_infeasible_schedule_exits_4(tmp_path, capsys):
     schedule = json.dumps({"k": None, "events": [["A"], ["A", "B"], ["A", "B"]]})
     assert main(["synth", "--schedule", schedule]) == 4

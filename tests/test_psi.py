@@ -1,5 +1,6 @@
 """Staircase evaluation, Perron cross-checks, and exact comparisons."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -305,24 +306,46 @@ def test_refine_to_starts_at_level_zero_with_unit_first_quotient():
     assert err.depth == 3 and err.bracket.width == Fraction(1, 2)
 
 
+def memo_outcome(call, source, t, width):
+    """(m, depth, integer ends) of call's handle, or None off a jump point."""
+    try:
+        err = call(source, t, width)
+    except NotAJumpPoint:
+        return None
+    return err.m, err.depth, integer_ends(err)
+
+
 @pytest.mark.parametrize("spec", ["periodic:[1;|1]", "rule:e", "seeded:5:9"])
 def test_bracket_memo_matches_fresh_sources(spec):
     swept = parse_source(spec)
-    for t in range(1, 600):
-        psi_at(swept, t)
-        psi_at(swept, t, target_width=Fraction(1))
-    for t in range(3, 600):
-        try:
-            psi_left_limit(swept, t, target_width=Fraction(3, 7))
-        except NotAJumpPoint:
-            pass
-    assert swept._brackets
+    widths = [Fraction(1), Fraction(3, 7), Fraction(1, 2**80), Fraction(1, 10**24)]
+    for t in range(1, 300):
+        for width in widths:
+            for call in (psi_at, psi_left_limit):
+                got = memo_outcome(call, swept, t, width)
+                assert got == memo_outcome(call, parse_source(spec), t, width)
+    # the settled depth depends on the starting depth and the step too
+    for m in range(20):
+        for depth in (m + 3, m + 4, m + 6):
+            for step, width in itertools.product((1, 4), widths):
+                got, expected = (
+                    ApproximationError(source, m, depth=depth)
+                    for source in (swept, parse_source(spec))
+                )
+                got.refine_to(width, step)
+                expected.refine_to(width, step)
+                assert (got.depth, integer_ends(got)) == (expected.depth, integer_ends(expected))
+    assert swept._brackets and swept._settled
     for (m, depth), memo in swept._brackets.items():
         err = ApproximationError(parse_source(spec), m)
         if depth > err.depth:
             err.refine(depth - err.depth)
         assert err.depth == depth
         assert err.bracket == memo.bracket
+    for (m, start, num, den, step), depth in swept._settled.items():
+        err = ApproximationError(parse_source(spec), m, depth=start)
+        err.refine_to(Fraction(num, den), step)
+        assert err.depth == depth
 
 
 def test_refining_a_handle_leaves_later_values_alone():
@@ -358,10 +381,55 @@ def test_exhausted_explicit_source_reports_its_end(warm, t, target_width):
     if warm:
         for s in range(1, 200):
             psi_at(source, s, target_width=Fraction(1))
-    with pytest.raises(SourceExhausted) as info:
-        psi_at(source, t, target_width=target_width)
-    assert (info.value.index, info.value.available) == (9, 9)
-    assert len(source._states) == 9
+    settled = dict(source._settled)
+    # a search that ran out stores no depth, so it runs out again, and at
+    # the same index, without reading further
+    for _ in range(2):
+        with pytest.raises(SourceExhausted) as info:
+            psi_at(source, t, target_width=target_width)
+        assert (info.value.index, info.value.available) == (9, 9)
+        assert len(source._states) == 9 and len(source._terms) == 9
+        assert source._settled == settled
+
+
+def forbid_reads(source):
+    """Make any state read, or any read of the settled-depth memo, fail."""
+
+    class Unreadable(dict):
+        def get(self, *args):
+            raise AssertionError("settled-depth memo read")
+
+    def state(m):
+        raise AssertionError(f"state {m} read")
+
+    source.state = state
+    source._settled = Unreadable()
+
+
+@pytest.mark.parametrize("spec", ["periodic:[1;|1]", "explicit:[0;1,2,3,4,5,6,7,8]"])
+@pytest.mark.parametrize("target_width", [Fraction(0), Fraction(-3, 7), 0])
+def test_a_width_that_is_not_positive_is_refused_before_any_read(spec, target_width):
+    # no depth reaches such a width, so a search would step forever on an
+    # infinite source
+    held, fresh = ApproximationError(parse_source(spec), 2), parse_source(spec)
+    forbid_reads(held.source)
+    forbid_reads(fresh)
+    for call in (
+        lambda: psi_at(fresh, 10, target_width),
+        lambda: psi_left_limit(fresh, 10, target_width),
+        lambda: held.refine_to(target_width),
+    ):
+        with pytest.raises(ValueError, match="target width must be positive"):
+            call()
+
+
+def test_a_search_with_a_bad_step_stores_no_depth():
+    err = ApproximationError(parse_source("seeded:5:9"), 4)
+    with pytest.raises(ValueError, match="refinement step"):
+        err.refine_to(Fraction(1, 10**24), step=0)
+    assert err.source._settled == {} and err.depth == 7
+    err.refine_to(Fraction(1, 10**24), step=4)
+    assert err.source._settled == {(4, 7, 1, 10**24, 4): err.depth}
 
 
 # ------------------------------------------- integer ends against Fractions
