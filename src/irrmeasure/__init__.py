@@ -49,15 +49,11 @@ from .order_dynamics import (
 )
 from .psi import (
     ApproximationError,
-    ComparisonVerdict,
-    Relation,
     brute_force_psi,
-    compare_psi,
     iter_brute_force_psi,
     nearest_integer_distance,
     psi_at,
     psi_left_limit,
-    separate,
 )
 from .structure_verify import (
     BoundCheck,

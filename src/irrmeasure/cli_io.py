@@ -230,6 +230,8 @@ def parse_labeled_sources(specs):
 
 
 def cmd_expand(args) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
     source = parse_source(args.source)
     rows = []
     for m in range(args.depth):

@@ -16,8 +16,9 @@ from itertools import islice
 
 from .cf_engine import PartialQuotientSource, SeededSource, parse_source
 from .errors import ComparisonUndecided
-from .psi import DEFAULT_DEPTH_LIMIT, level_handle, strictly_below
+from .psi import level_handle, strictly_below
 
+DEFAULT_DEPTH_LIMIT = 64
 OrderVector = tuple  # tuple of labels, largest value first
 
 
@@ -205,8 +206,11 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     and descending on (lo, hi), so equal brackets keep their order.
     depth_limit bounds the rounds counted from the depths the handles come
     in with; when it is reached, the first overlapping pair is reported
-    undecided.
+    undecided.  Every certification runs here, so this is where a negative
+    depth_limit is refused.
     """
+    if depth_limit < 0:
+        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     rounds = 0
     while True:
         handles.sort(key=cmp_to_key(_by_ends), reverse=True)

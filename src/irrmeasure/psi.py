@@ -10,16 +10,13 @@ rational brackets that can be refined on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import cf_engine
 from .cf_engine import PartialQuotientSource, RationalBracket
-from .errors import CapExceeded, ComparisonUndecided, NotAJumpPoint
+from .errors import CapExceeded, NotAJumpPoint
 
 DEFAULT_TARGET_WIDTH = Fraction(1, 2**80)
-DEFAULT_DEPTH_LIMIT = 64
 DEFAULT_ORACLE_CAP = 100_000
 _STEP = 4  # refine_to's default step, which psi_at and psi_left_limit use
 
@@ -46,23 +43,6 @@ def nearest_integer_distance(interval: RationalBracket) -> RationalBracket:
     out_lo = Fraction(0) if contains_integer else min(d_lo, d_hi)
     out_hi = half if contains_half else max(d_lo, d_hi)
     return RationalBracket(out_lo, out_hi)
-
-
-class Relation(Enum):
-    LESS = "less"
-    GREATER = "greater"
-
-
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Certified strict ordering together with the depth that decided it."""
-
-    relation: Relation
-    depth: int
-
-    @property
-    def is_less(self) -> bool:
-        return self.relation is Relation.LESS
 
 
 class _BracketEnds:
@@ -315,48 +295,6 @@ def strictly_below(a: ApproximationError, b: ApproximationError) -> bool:
         return a.floor > b.ceil
     x, y = a.ends, b.ends
     return x.hi_num * y.lo_den < y.lo_num * x.hi_den
-
-
-def separate(
-    a: ApproximationError,
-    b: ApproximationError,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    t: int | None = None,
-) -> ComparisonVerdict:
-    """Refine both brackets until they are disjoint and report the order.
-
-    Each round adds one partial quotient on each side.  depth_limit bounds
-    the number of extra rounds past the starting depths; hitting it raises
-    ComparisonUndecided, which is also the only possible outcome when both
-    handles describe the same number and level.
-    """
-    rounds = 0
-    while not (strictly_below(a, b) or strictly_below(b, a)):
-        if rounds >= depth_limit:
-            raise ComparisonUndecided(t, (a.label, b.label), rounds)
-        a.refine(1)
-        b.refine(1)
-        rounds += 1
-    depth = max(a.depth, b.depth)
-    if strictly_below(a, b):
-        return ComparisonVerdict(Relation.LESS, depth)
-    return ComparisonVerdict(Relation.GREATER, depth)
-
-
-def compare_psi(
-    f: PartialQuotientSource,
-    g: PartialQuotientSource,
-    t: int,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-) -> ComparisonVerdict:
-    """Certified strict comparison of the two staircases at integer t.
-
-    LESS means psi_f(t) < psi_g(t).  Values that cannot be separated within
-    the budget (in particular, equal sources) raise ComparisonUndecided.
-    """
-    a = psi_at(f, t, target_width=Fraction(1))
-    b = psi_at(g, t, target_width=Fraction(1))
-    return separate(a, b, depth_limit, t=t)
 
 
 def iter_brute_force_psi(

@@ -35,18 +35,13 @@ from .errors import (
     UnknownLabel,
 )
 from .order_dynamics import (
+    DEFAULT_DEPTH_LIMIT,
     ChangeTrace,
     FunctionTuple,
     clamp_start,
     iter_events,
 )
-from .psi import (
-    DEFAULT_DEPTH_LIMIT,
-    ApproximationError,
-    Relation,
-    compare_psi,
-    separate,
-)
+from .psi import ApproximationError
 
 ITEM_NAMES = {
     "i": "jump_count",
@@ -323,19 +318,16 @@ def check_prejump_reversal(
             s = beta.seek(q_m + 1)
             if s >= 2:
                 try:
-                    before_joint = compare_psi(alpha, beta, q_next - 1, depth_limit)
-                    if before_joint.relation is Relation.LESS:
-                        before_prev = compare_psi(alpha, beta, q_m - 1, depth_limit)
-                        ok = before_prev.relation is Relation.GREATER
-                        instances.append(
-                            ScanInstance(m, s, q_next, q_m, True, ok)
-                        )
+                    # the vector lists the larger value first: ("b", "a")
+                    # is psi_alpha < psi_beta
+                    vector = order_dynamics.order_vector_at(pair, q_next - 1, depth_limit)
+                    applied, ok = vector == ("b", "a"), None
+                    if applied:
+                        vector = order_dynamics.order_vector_at(pair, q_m - 1, depth_limit)
+                        ok = vector == ("a", "b")
                         if not ok:
                             violations.append((q_next, m, s))
-                    else:
-                        instances.append(
-                            ScanInstance(m, s, q_next, q_m, False, None)
-                        )
+                    instances.append(ScanInstance(m, s, q_next, q_m, applied, ok))
                 except ComparisonUndecided as exc:
                     undecided.append((q_next, str(exc)))
         m += 1
@@ -399,9 +391,10 @@ def check_triple_coincidence(
             raise PatternMismatch(f"{name} fails: {left} != {right}")
     eta = ApproximationError(beta, s + 1, label="beta")
     xi = ApproximationError(alpha, m + 1, label="alpha")
-    verdict = separate(xi, eta, depth_limit, t=h[1])
-    status = "pass" if verdict.relation is Relation.LESS else "fail"
-    return TripleCoincidenceReport(status, m, s, l, (h[1], h[2]), verdict.depth)
+    vector = order_dynamics._certify([xi, eta], h[1], depth_limit)
+    status = "pass" if vector == ("beta", "alpha") else "fail"
+    depth = max(xi.depth, eta.depth)
+    return TripleCoincidenceReport(status, m, s, l, (h[1], h[2]), depth)
 
 
 def sign_changes(

@@ -295,8 +295,11 @@ def synthesize(
     members' congruences that exceeds the previous event, is coprime to
     every denominator already owned, and keeps every derived quotient
     >= 1.  Members absent from an event simply do not advance, so their
-    next denominator lands beyond it automatically.
+    next denominator lands beyond it automatically.  A negative
+    search_bound is refused before any work.
     """
+    if search_bound < 0:
+        raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     labels = schedule.labels
     if prefixes is None:
         prefixes = default_prefixes(labels)

@@ -409,12 +409,36 @@ def test_exhausted_source_exits_4(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "SourceExhausted"
 
 
-def test_negative_digits_exits_2(capsys):
-    argv = ["psi", "--source", "periodic:[1;|1]", "--t", "5", "--digits", "-3"]
-    assert main(argv) == 2
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (
+            ["psi", "--source", "periodic:[1;|1]", "--t", "5", "--digits", "-3"],
+            "--digits must be >= 0, got -3",
+        ),
+        (
+            ["trace", "--sources", PHI, RT2, "--depth-limit", "-1"],
+            "depth_limit must be >= 0, got -1",
+        ),
+        (["trace", "--config", "CONFIG"], "depth_limit must be >= 0, got -1"),
+        (
+            ["synth", "--schedule", "extremal:k=2:cycles=3", "--search-bound", "-1"],
+            "search_bound must be >= 0, got -1",
+        ),
+        (
+            ["expand", "--source", "periodic:[1;|1]", "--depth", "-2"],
+            "--depth must be >= 0, got -2",
+        ),
+    ],
+    ids=["digits", "depth-limit", "depth-limit-config", "search-bound", "depth"],
+)
+def test_negative_argument_exits_2(tmp_path, capsys, argv, detail):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"sources = {PHI} {RT2}\ndepth_limit = -1\n")
+    assert main([str(config) if arg == "CONFIG" else arg for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert json.loads(err) == {"error": "ValueError", "detail": "--digits must be >= 0, got -3"}
+    assert json.loads(err) == {"error": "ValueError", "detail": detail}
 
 
 def test_infeasible_schedule_exits_4(tmp_path, capsys):

@@ -12,9 +12,11 @@ from irrmeasure import (
     ChangeTrace,
     ComparisonUndecided,
     FunctionTuple,
+    HypothesisNotMet,
     JumpSchedule,
     build_events,
     change_trace,
+    check_prejump_reversal,
     clamp_start,
     distinct_vectors,
     extremal_schedule,
@@ -325,15 +327,19 @@ def outcome(call):
         return call()
     except ComparisonUndecided as exc:
         return exc.t, exc.labels, exc.rounds
+    except HypothesisNotMet as exc:
+        return str(exc)
 
 
 def dynamics(specs, t, count, horizon, depth_limit):
     ftuple = seeded_tuple(specs)
     pair = FunctionTuple(seeded_tuple(specs).members[:2])
+    alpha, beta = (source for _, source in pair.members)
     return (
         outcome(lambda: order_vector_at(ftuple, t, depth_limit)),
         outcome(lambda: change_trace(ftuple, t, count, depth_limit)),
         outcome(lambda: sign_changes(pair, horizon, depth_limit)),
+        outcome(lambda: check_prejump_reversal(alpha, beta, 40, depth_limit)),
     )
 
 

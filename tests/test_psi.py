@@ -14,23 +14,22 @@ from irrmeasure import (
     CapExceeded,
     ComparisonUndecided,
     ExplicitSource,
+    FunctionTuple,
     NotAJumpPoint,
     PeriodicSource,
     RationalBracket,
-    Relation,
     SeededSource,
     SourceExhausted,
     bracket,
     brute_force_psi,
-    compare_psi,
     iter_brute_force_psi,
     nearest_integer_distance,
+    order_vector_at,
     parse_source,
     psi_at,
     psi_left_limit,
-    separate,
 )
-from irrmeasure.order_dynamics import _by_ends
+from irrmeasure.order_dynamics import _by_ends, _certify
 from irrmeasure.psi import perron_bracket, strictly_below
 
 PHI = parse_source("periodic:[1;|1]")
@@ -130,28 +129,30 @@ def test_perron_overlaps_direct_value(source):
         assert via_tail.intersects(direct.bracket)
 
 
+# an order vector lists the larger value first
+
+
 def test_compare_phi_rt2_at_4():
-    verdict = compare_psi(PHI, RT2, 4)
-    assert verdict.relation is Relation.LESS
-    assert verdict.is_less
+    pair = FunctionTuple.build([("phi", PHI), ("rt2", RT2)])
+    assert order_vector_at(pair, 4) == ("rt2", "phi")
 
 
 def test_compare_rt2_phi_at_2():
-    assert compare_psi(RT2, PHI, 2).relation is Relation.LESS
+    pair = FunctionTuple.build([("rt2", RT2), ("phi", PHI)])
+    assert order_vector_at(pair, 2) == ("phi", "rt2")
 
 
 def test_compare_same_number_undecided():
-    other = parse_source("periodic:[1;|1]")
+    pair = FunctionTuple.build([("a", PHI), ("b", parse_source("periodic:[1;|1]"))])
     with pytest.raises(ComparisonUndecided) as info:
-        compare_psi(PHI, other, 10, depth_limit=16)
+        order_vector_at(pair, 10, depth_limit=16)
     assert info.value.rounds == 16
 
 
 def test_verdict_stable_under_extra_refinement():
-    a = psi_at(PHI, 4)
-    b = psi_at(RT2, 4)
-    verdict = separate(a, b)
-    assert verdict.relation is Relation.LESS
+    a = psi_at(PHI, 4, label="phi")
+    b = psi_at(RT2, 4, label="rt2")
+    assert _certify([a, b], 4, 64) == ("rt2", "phi")
     a.refine(2)
     b.refine(2)
     assert a.bracket.hi < b.bracket.lo  # still cleanly separated, same order
@@ -469,46 +470,8 @@ def test_integer_ends_give_the_fraction_bracket(spec):
             err.refine(1)
 
 
-def separate_by_fractions(a, b, depth_limit):
-    """separate() on the Fraction brackets, kept as the oracle of the integer test."""
-    rounds = 0
-    while a.bracket.intersects(b.bracket):
-        if rounds >= depth_limit:
-            raise ComparisonUndecided(None, (a.label, b.label), rounds)
-        a.refine(1)
-        b.refine(1)
-        rounds += 1
-    relation = Relation.LESS if a.bracket.strictly_below(b.bracket) else Relation.GREATER
-    return relation, max(a.depth, b.depth)
-
-
-def separation(decide, specs, t, depth_limit):
-    a, b = (psi_at(parse_source(spec), t, Fraction(1), spec) for spec in specs)
-    try:
-        return decide(a, b, depth_limit)
-    except ComparisonUndecided as exc:
-        return exc.t, exc.labels, exc.rounds
-
-
 # small seeds and bounds so that equal and touching brackets both occur
 small_specs = st.builds("seeded:{}:{}".format, st.integers(0, 9), st.integers(2, 3))
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    st.tuples(small_specs, small_specs),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=6),
-)
-@example(("seeded:1:3", "seeded:0:2"), 1, 0)  # the first bracket's hi is the second's lo
-def test_separate_matches_the_fraction_test(specs, t, depth_limit):
-    def by_integers(a, b, limit):
-        verdict = separate(a, b, limit)
-        return verdict.relation, verdict.depth
-
-    assert separation(by_integers, specs, t, depth_limit) == separation(
-        separate_by_fractions, specs, t, depth_limit
-    )
 
 
 # ------------------------------------------ tail continuants and first order
