@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import SourceExhausted
 
@@ -87,17 +86,19 @@ class RationalBracket:
 class PartialQuotientSource:
     """Lazily extended sequence of partial quotients defining one number.
 
-    Subclasses implement _emit(m).  Emitted terms, convergent states, the
-    psi bracket ends that ApproximationError builds per (level, depth) and
-    the depth its refine_to settles on per (level, start, width, step) are
-    cached.  Caches only ever grow, and each entry is a frozen value fixed
-    by the quotients alone, so sharing a source between readers is
-    harmless: no reader can see another's refinement depth.
+    Subclasses implement _emit(m).  Emitted terms, convergent states (with
+    their denominators in a plain list that seek bisects), the psi bracket
+    ends that ApproximationError builds per (level, depth) and the depth
+    its refine_to settles on per (level, start, width, step) are cached.
+    Caches only ever grow, and each entry is a frozen value fixed by the
+    quotients alone, so sharing a source between readers is harmless: no
+    reader can see another's refinement depth.
     """
 
     def __init__(self):
         self._terms: list[int] = []
         self._states: list[ConvergentState] = []
+        self._denominators: list[int] = []  # q of each state in _states
         self._brackets: dict[tuple[int, int], object] = {}  # psi._BracketEnds
         self._settled: dict[tuple[int, int, int, int, int], int] = {}
 
@@ -124,21 +125,23 @@ class PartialQuotientSource:
             else:
                 st = self._states[k - 1].advance(self.term(k))
             self._states.append(st)
+            self._denominators.append(st.q)
         return self._states[m]
 
     def seek(self, t: int) -> int:
         """Smallest index m with q_m >= t.
 
-        The denominators never decrease, so this bisects the cache after
+        The denominators never decrease, so this bisects their list after
         extending it only until it holds some q >= t; an explicit source
         that runs out first raises SourceExhausted.  The tie q_0 = q_1 = 1
         resolves to m = 0.
         """
         if t < 1:
             raise ValueError("t must be a positive integer")
-        while not self._states or self._states[-1].q < t:
-            self.state(len(self._states))
-        return bisect_left(self._states, t, key=attrgetter("q"))
+        denominators = self._denominators
+        while not denominators or denominators[-1] < t:
+            self.state(len(denominators))
+        return bisect_left(denominators, t)
 
     def spec_string(self) -> str:
         raise NotImplementedError

@@ -20,6 +20,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -143,8 +144,26 @@ def emit(text: str, out_path: str | None) -> None:
 
 
 def format_decimal(x: Fraction, places: int, direction: str) -> str:
-    """Fixed-point decimal, rounded outward so brackets stay brackets."""
+    """Fixed-point decimal, rounded outward so brackets stay brackets.
+
+    direction is "down" (floor) or "up" (ceiling) and places is at least
+    1; anything else raises ValueError.  Every t of a psi level prints the
+    same two bracket ends, so the text comes from a small memo keyed by
+    the exact integers (num, den, places, direction), not by the Fraction,
+    whose hash costs a modular inverse.
+    """
+    if places < 1:
+        raise ValueError(f"places must be >= 1, got {places}")
+    if direction not in ("down", "up"):
+        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     num, den = x.as_integer_ratio()
+    return _decimal_text(num, den, places, direction)
+
+
+# two entries per psi level suffice; a small bound keeps no million-bit
+# ends of extremal tuples alive
+@lru_cache(maxsize=8)
+def _decimal_text(num: int, den: int, places: int, direction: str) -> str:
     scaled = num * 10**places
     n = scaled // den if direction == "down" else -(-scaled // den)
     sign = "-" if n < 0 else ""

@@ -296,8 +296,11 @@ def check_prejump_reversal(
     s >= 2.  Whenever the first staircase is certified below the second
     just before the shared jump, it must be certified above just before
     its own previous jump.  Raises HypothesisNotMet if the window has no
-    instance of the pattern.
+    instance of the pattern, and ValueError, before any read, if events
+    is below 1.
     """
+    if events < 1:
+        raise ValueError(f"events must be >= 1, got {events}")
     pair = FunctionTuple.build([("a", alpha), ("b", beta)])
     horizon = None
     for index, event in enumerate(iter_events(pair, 0), start=1):

@@ -362,10 +362,11 @@ def replay_check(result: SynthesisResult) -> bool:
             q, q_prev = a * q + q_prev, q
             qs.append(q)
         denominators[label] = qs
+    labels = result.schedule.labels
     for position, (event, value) in enumerate(
         zip(result.schedule.events, result.event_values)
     ):
-        for label in result.schedule.labels:
+        for label in labels:
             hit = value in denominators[label]
             if (label in event) != hit:
                 return False

@@ -232,6 +232,9 @@ def test_seek_matches_a_plain_scan(terms, ts):
         assert outcome(lambda: sought.seek(t)) == outcome(lambda: scan_level(scanned, t))
         # the lookup reads no further into the source than the scan does
         assert len(sought._terms) == len(scanned._terms)
+        # the list seek bisects stays in step with the states, also after
+        # the source runs out
+        assert sought._denominators == [s.q for s in sought._states]
 
 
 def test_seek_resolves_the_q0_q1_tie_to_the_first_index():

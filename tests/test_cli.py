@@ -109,6 +109,31 @@ def test_format_decimal_matches_floor_and_ceil(x, places, direction):
     )
 
 
+@settings(max_examples=40)
+@given(
+    st.lists(FRACTIONS, min_size=9, max_size=30, unique=True),
+    st.integers(1, 80),
+)
+def test_format_decimal_memo_never_serves_stale_text(xs, places):
+    # more distinct ends than the memo holds, at two place counts, both
+    # directions interleaved, twice over
+    calls = [
+        (x, places + i % 2, d) for i, x in enumerate(xs) for d in ("down", "up")
+    ]
+    for x, p, d in calls + calls:
+        assert format_decimal(x, p, d) == floor_ceil_format_decimal(x, p, d)
+
+
+@pytest.mark.parametrize(
+    "places, direction",
+    [(0, "down"), (-3, "up"), (5, "Down"), (5, "nearest"), (5, None)],
+)
+def test_format_decimal_refuses_bad_arguments_on_every_call(places, direction):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            format_decimal(Fraction(5, 2), places, direction)
+
+
 def fraction_places_for(hi, minimum=30):
     """_places_for with a Fraction product on every pass."""
     places = minimum

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from irrmeasure import (
     ChangeMoment,
     ChangeTrace,
+    ExplicitSource,
     FunctionTuple,
     HypothesisNotMet,
     JumpSchedule,
@@ -273,6 +274,17 @@ def test_prejump_reversal_on_the_classic_pair():
 def test_prejump_reversal_requires_an_instance():
     with pytest.raises(HypothesisNotMet):
         check_prejump_reversal(parse_source(PHI), parse_source(RT2), events=3)
+
+
+@pytest.mark.parametrize("events", [0, -1, -100])
+def test_prejump_reversal_refuses_an_empty_window_before_any_read(events):
+    # finite sources: a scan that ignored the count would run out of
+    # quotients and raise SourceExhausted instead of hanging
+    alpha = ExplicitSource([1, 1, 1, 1, 1, 1])
+    beta = ExplicitSource([1, 2, 2, 2, 2, 2])
+    with pytest.raises(ValueError, match="events must be >= 1"):
+        check_prejump_reversal(alpha, beta, events=events)
+    assert alpha._terms == [] and beta._terms == []
 
 
 def test_prejump_reversal_on_synthesized_pair():
