@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .cf_engine import parse_source
@@ -97,6 +98,11 @@ def _write_json(value, newline: str, parts: list) -> None:
         if not value:
             parts.append("[]")
             return
+        if type(value[0]) is dict:
+            text = _rows_json(value, newline)
+            if text is not None:
+                parts.append(text)
+                return
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
@@ -106,6 +112,52 @@ def _write_json(value, newline: str, parts: list) -> None:
         parts.append(newline + "]")
     else:
         raise TypeError(f"{type(value).__name__} is not written as JSON")
+
+
+def _rows_json(rows, newline: str) -> str | None:
+    """JSON text of a list of same-keyed rows, written column by column.
+
+    The shape served: every item a dict (not a subclass) with the same
+    non-empty set of str keys, and every column holding only str or only
+    int values.  Each column is encoded by one C-level map and every row
+    fills one %-template, so no Python code runs per value.  Any other
+    shape, and an int past the interpreter's digit limit, returns None:
+    the recursive writer then writes the list or raises its TypeError or
+    ValueError at the first offending value in document order.
+    """
+    if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1:
+        return None
+    if set(map(type, rows[0])) != {str}:  # also refuses rows of {}
+        return None
+    keys = tuple(sorted(rows[0]))
+    columns = []
+    for key in keys:
+        try:
+            column = list(map(itemgetter(key), rows))
+        except KeyError:
+            return None
+        leaf = set(map(type, column))
+        if leaf == {str}:
+            encode = encode_basestring_ascii
+        elif leaf == {int}:
+            encode = int.__repr__
+        else:
+            return None
+        try:
+            columns.append(list(map(encode, column)))
+        except ValueError:
+            return None
+    inner = newline + "  "
+    lines = map(_row_template(keys, inner).__mod__, zip(*columns))
+    return "[" + inner + ("," + inner).join(lines) + newline + "]"
+
+
+@lru_cache(maxsize=32)
+def _row_template(keys: tuple, newline: str) -> str:
+    """The %-template of one row with these sorted keys at this indent."""
+    inner = newline + "  "
+    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{" + inner + ("," + inner).join(fields) + newline + "}"
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -273,6 +325,8 @@ def cmd_expand(args) -> int:
 def cmd_psi(args) -> int:
     if args.digits < 0:
         raise ValueError(f"--digits must be >= 0, got {args.digits}")
+    if args.t_end is not None and args.t_end < args.t:
+        raise ValueError(f"--t-end must be >= --t, got {args.t_end} < {args.t}")
     source = parse_source(args.source)
     width = Fraction(1, 10**args.digits)
     rows = []

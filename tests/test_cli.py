@@ -9,7 +9,7 @@ import stat
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irrmeasure.cli_io import (
     CSV_HEADER,
@@ -50,9 +50,8 @@ AWKWARD = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'
 TEXT = st.text(
     alphabet=st.one_of(st.sampled_from(AWKWARD), st.characters()), max_size=6
 )
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-(10**4000), 10**4000), TEXT
-)
+INTEGERS = st.integers(-(10**4000), 10**4000)
+SCALARS = st.one_of(st.none(), st.booleans(), INTEGERS, TEXT)
 
 
 def json_documents(depth):
@@ -80,8 +79,93 @@ def test_canonical_json_of_empty_and_bare_values(doc):
     assert canonical_json(doc) == dumps_json(doc)
 
 
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+# each turns one row of a list of same-keyed rows into another shape;
+# the flag says whether canonical_json refuses the result (json.dumps
+# writes floats, canonical_json refuses them)
+PERTURBATIONS = {
+    "missing key": (lambda row, key, spare: row.pop(key), False),
+    "extra key": (lambda row, key, spare: row.setdefault(spare, 0), False),
+    "float": (lambda row, key, spare: row.update({key: 1.5}), True),
+    "Fraction": (lambda row, key, spare: row.update({key: Fraction(1, 3)}), True),
+    "bool": (lambda row, key, spare: row.update({key: True}), False),
+    "None": (lambda row, key, spare: row.update({key: None}), False),
+    "int subclass": (lambda row, key, spare: row.update({key: Int(7)}), False),
+    "str subclass": (lambda row, key, spare: row.update({key: Str("x")}), False),
+    "nested list": (lambda row, key, spare: row.update({key: [row[key]]}), False),
+}
+
+
+@st.composite
+def row_lists(draw):
+    """(document, refused): 0-40 dicts over one key set, maybe one perturbed.
+
+    Each column draws its values from str, from int or from all scalars,
+    so most lists take canonical_json's column path.  Keys holding % and
+    %s check that the row templates escape them.
+    """
+    key = st.one_of(TEXT, st.sampled_from(["%", "%s", "a%sb"]))
+    keys = draw(st.lists(key, max_size=5, unique=True))
+    leaves = {key: draw(st.sampled_from([TEXT, INTEGERS, SCALARS])) for key in keys}
+    rows = draw(st.lists(st.fixed_dictionaries(leaves), max_size=40))
+    refused = False
+    perturbation = draw(st.one_of(st.none(), st.sampled_from(list(PERTURBATIONS))))
+    if rows and keys and perturbation is not None:
+        change, refused = PERTURBATIONS[perturbation]
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(keys))
+        spare = "".join(keys) + "~"  # longer than any key, so in none of them
+        change(row, key, spare)
+    wrap = draw(st.sampled_from([lambda d: d, lambda d: {"rows": d}, lambda d: [[d]]]))
+    return wrap(rows), refused
+
+
+@settings(deadline=None)
+@given(row_lists())
+@example(([{"a": 1}, {"a": 2, "b": "x"}], False))  # first row lacks a key
+@example(([{"a": 1, "b": "x"}, {"a": 2}], False))  # a later row lacks one
+@example(([{"a": 1}, {"a": True}, {"a": Int(2)}], False))
+@example(([{"%s": "x", "%": 1}], False))
+def test_canonical_json_writes_row_lists_as_json_dumps(case):
+    doc, refused = case
+    if refused:
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+    else:
+        assert canonical_json(doc) == dumps_json(doc)
+
+
+def test_long_int_in_a_row_raises_at_the_first_offending_value():
+    long_int = 10**4999
+    with pytest.raises(ValueError) as bare:
+        canonical_json(long_int)
+    with pytest.raises(ValueError) as in_row:
+        canonical_json([{"a": 1, "b": "x"}, {"a": long_int, "b": "y"}])
+    assert str(in_row.value) == str(bare.value)
+    # the Fraction comes first in document order, the long int first by column
+    with pytest.raises(TypeError):
+        canonical_json([{"a": 1, "b": Fraction(1, 3)}, {"a": long_int, "b": "y"}])
+
+
 @pytest.mark.parametrize(
-    "doc", [1.5, {"a": [Fraction(1, 3)]}, {1: "x"}, {"a": {None: 1}}, [{"x", "y"}]]
+    "doc",
+    [
+        1.5,
+        {"a": [Fraction(1, 3)]},
+        {1: "x"},
+        {"a": {None: 1}},
+        [{"x", "y"}],
+        [{"a": 1}, {"a": 1.5}],
+        [{"a": "x"}, {"a": Fraction(1, 3)}],
+        [{1: "x"}],
+    ],
 )
 def test_canonical_json_rejects_other_types(doc):
     with pytest.raises(TypeError):
@@ -346,8 +430,24 @@ def test_export_requires_a_subject(tmp_path, capsys):
             ["pi", "--k", "5", "--json"],
             "ab828f6810905ffacef0d0924856c10757a255659d3a40d84176f4dcc11bd989",
         ),
+        (
+            ["expand", "--source", "rule:e", "--depth", "40", "--json"],
+            "9f25d0f5254997437106881fa13ad6b1c95187fa07e794a3fd55b5eaa1236ec0",
+        ),
+        (
+            ["synth", "--schedule", "extremal:k=2:cycles=3"],
+            "7c747c012d493b3b7877d182fab972b31858c9689147812870eb3d5594d46c2f",
+        ),
     ],
-    ids=["psi-phi-700", "psi-left-seeded", "psi-e-60-digits", "export-5000", "pi-5-json"],
+    ids=[
+        "psi-phi-700",
+        "psi-left-seeded",
+        "psi-e-60-digits",
+        "export-5000",
+        "pi-5-json",
+        "expand-e-40-json",
+        "synth-k2-cycles3",
+    ],
 )
 def test_stdout_is_frozen(capsys, argv, digest):
     assert main(argv) == 0
@@ -454,8 +554,12 @@ def test_exhausted_source_exits_4(capsys):
             ["expand", "--source", "periodic:[1;|1]", "--depth", "-2"],
             "--depth must be >= 0, got -2",
         ),
+        (
+            ["psi", "--source", "periodic:[1;|1]", "--t", "9", "--t-end", "3"],
+            "--t-end must be >= --t, got 3 < 9",
+        ),
     ],
-    ids=["digits", "depth-limit", "depth-limit-config", "search-bound", "depth"],
+    ids=["digits", "depth-limit", "depth-limit-config", "search-bound", "depth", "t-end"],
 )
 def test_negative_argument_exits_2(tmp_path, capsys, argv, detail):
     config = tmp_path / "run.cfg"
