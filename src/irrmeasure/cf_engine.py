@@ -88,11 +88,12 @@ class PartialQuotientSource:
 
     Subclasses implement _emit(m).  Emitted terms, convergent states (with
     their denominators in a plain list that seek bisects), the psi bracket
-    ends that ApproximationError builds per (level, depth) and the depth
-    its refine_to settles on per (level, start, width, step) are cached.
-    Caches only ever grow, and each entry is a frozen value fixed by the
-    quotients alone, so sharing a source between readers is harmless: no
-    reader can see another's refinement depth.
+    ends that ApproximationError builds per (level, depth) and one handle
+    per (level, width) settled by refine_to, which psi_at copies, are
+    cached.  Caches only ever grow, and each entry is a frozen value fixed
+    by the quotients alone (no reader ever holds a cached handle itself),
+    so sharing a source between readers is harmless: no reader can see
+    another's refinement depth.
     """
 
     def __init__(self):
@@ -100,7 +101,7 @@ class PartialQuotientSource:
         self._states: list[ConvergentState] = []
         self._denominators: list[int] = []  # q of each state in _states
         self._brackets: dict[tuple[int, int], object] = {}  # psi._BracketEnds
-        self._settled: dict[tuple[int, int, int, int, int], int] = {}
+        self._handles: dict[tuple[int, tuple[int, int]], object] = {}  # psi.ApproximationError
 
     def _emit(self, m: int) -> int:
         raise NotImplementedError

@@ -451,6 +451,8 @@ def staircase_rows(ftuple: FunctionTuple, t_points, digits: int = 30):
 def export_staircase(subject, path: str | None, horizon: int | None = None) -> int:
     """CSV staircase for a trace (rows at its change moments) or for a
     function tuple up to a horizon (rows at every jump event)."""
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if isinstance(subject, ChangeTrace):
         ftuple = tuple_from_header(subject.header)
         times = [m.t for m in subject.moments]

@@ -87,17 +87,11 @@ class ApproximationError:
     [q_{m+1}, q_{m+1} + q_m]; n = 1 starts at the end 0: (0, inf).
     """
 
-    def __init__(
-        self,
-        source: PartialQuotientSource,
-        m: int,
-        label: str | None = None,
-        depth: int | None = None,
-    ):
+    __slots__ = ("source", "m", "label", "q", "_n", "floor", "ceil", "depth", "ends")
+
+    def __init__(self, source: PartialQuotientSource, m: int, label: str | None = None):
         if m < 0:
             raise ValueError("level index must be >= 0")
-        if depth is not None and depth < m + 3:
-            raise ValueError("a handle starts at depth >= m + 3")
         self.source = source
         self.m = m
         self.label = label
@@ -106,13 +100,30 @@ class ApproximationError:
         self._n = 1 if q_next == self.q else m
         self.floor, self.ceil = (0, math.inf) if self._n != m else (q_next, q_next + self.q)
         # the first depth whose ends d = m+1, m+2 are both past n = m, so
-        # nonzero; a deeper one gives the same ends as refining up to it
-        self.depth = m + 3 if depth is None else depth
+        # nonzero; refine() moves on from here
+        self.depth = m + 3
         self.ends = self._ends_at(self.depth, self._n + 1, 0, 1)
 
     @property
     def bracket(self) -> RationalBracket:
-        return self.ends.bracket
+        ends = self.ends
+        return ends._bracket or ends.bracket  # the property only on first read
+
+    def _copy(self, label: str | None) -> ApproximationError:
+        """A separate handle of the same class at this one's (m, depth, ends),
+        carrying label; no state is read and no width tested."""
+        cls = type(self)
+        copy = cls.__new__(cls)
+        copy.source = self.source
+        copy.m = self.m
+        copy.label = label
+        copy.q = self.q
+        copy._n = self._n
+        copy.floor = self.floor
+        copy.ceil = self.ceil
+        copy.depth = self.depth
+        copy.ends = self.ends
+        return copy
 
     def _ends_at(self, depth: int, top: int, shallow: int, deep: int) -> _BracketEnds:
         """Memo entry at (m, depth); a miss steps (K_{top-1}, K_top) =
@@ -150,29 +161,21 @@ class ApproximationError:
         q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the determinant
         identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The test is
         therefore an integer product; the ends memo is read once, at the
-        final depth, and only if the depth moved.
-
-        The depth the search settles on is fixed by the quotients and
-        (m, starting depth, target_width.as_integer_ratio(), step), so it is
-        memoized on the source under that key; a search that raises
-        (SourceExhausted, a step below 1) stores nothing.  A target_width
-        that is not positive raises ValueError before anything is read.
+        final depth, and only if the depth moved.  A target_width that is
+        not positive raises ValueError before anything is read.
         """
         self._settle(*_width_ratio(target_width), step)
 
     def _settle(self, num: int, den: int, step: int) -> None:
-        key = (self.m, self.depth, num, den, step)
-        depth = self.source._settled.get(key)
-        if depth is None:
-            scaled_q = self.q * den
-            depth = self.depth
+        """refine_to's search for a width num/den > 0."""
+        scaled_q = self.q * den
+        depth = self.depth
+        deepest = self.source.state(depth - 1)
+        while scaled_q > num * deepest.q * deepest.q_prev:
+            if step < 1:
+                raise ValueError("refinement step must be >= 1")
+            depth += step
             deepest = self.source.state(depth - 1)
-            while scaled_q > num * deepest.q * deepest.q_prev:
-                if step < 1:
-                    raise ValueError("refinement step must be >= 1")
-                depth += step
-                deepest = self.source.state(depth - 1)
-            self.source._settled[key] = depth
         if depth != self.depth:
             self._move_to(depth)
 
@@ -195,14 +198,17 @@ def _refined(
 ) -> ApproximationError:
     """A fresh handle at level m, refined to width = (num, den) from m + 3.
 
-    When the source's memo holds that search, the handle is built at the
-    settled depth at once: the same (m, depth, ends), with no width test.
+    The source keeps one settled template per (m, width): built and
+    refined on the first call, and stored only if that search returns.
+    Every call gets its own copy of it, so the template never moves.
     """
-    depth = source._settled.get((m, m + 3, *width, _STEP))
-    err = ApproximationError(source, m, label, depth)
-    if depth is None:
-        err._settle(*width, _STEP)
-    return err
+    key = (m, width)
+    template = source._handles.get(key)
+    if template is None:
+        template = ApproximationError(source, m)
+        template._settle(*width, _STEP)
+        source._handles[key] = template
+    return template._copy(label)
 
 
 def _level(source: PartialQuotientSource, t: int) -> int:
@@ -234,10 +240,10 @@ def psi_at(
 ) -> ApproximationError:
     """Staircase value at integer t as a refinable exact bracket.
 
-    A fresh handle, as level_handle's after refine_to(target_width).  That
-    search's depth is memoized on the source under (m, m + 3,
-    target_width.as_integer_ratio(), 4), and a later call with that key
-    builds its handle there at once; a search that raises stores nothing.
+    A fresh handle, as level_handle's after refine_to(target_width).  The
+    source keeps one such handle, settled, per (m,
+    target_width.as_integer_ratio()), and each call returns a copy of it
+    with its own depth and label; a search that raises stores nothing.
     A target_width <= 0 raises ValueError before the source is read.
     """
     width = _width_ratio(target_width)
@@ -253,8 +259,8 @@ def psi_left_limit(
     """Value held just before the jump at t, i.e. the previous level.
 
     t must be a convergent denominator q_m with m >= 2; anything else is
-    NotAJumpPoint.  The handle is refined, and its depth memoized, as in
-    psi_at.
+    NotAJumpPoint.  The handle is a copy of the source's settled one, as
+    in psi_at.
     """
     width = _width_ratio(target_width)
     if t < 2:

@@ -558,13 +558,33 @@ def test_exhausted_source_exits_4(capsys):
             ["psi", "--source", "periodic:[1;|1]", "--t", "9", "--t-end", "3"],
             "--t-end must be >= --t, got 3 < 9",
         ),
+        (["export", "--trace", "TRACE", "--horizon", "0"], "horizon must be >= 1"),
+        (["export", "--trace", "TRACE", "--horizon", "-5"], "horizon must be >= 1"),
+        (["export", "--sources", PHI, "--horizon", "0"], "horizon must be >= 1"),
+        (["export", "--sources", PHI, "--horizon", "-5"], "horizon must be >= 1"),
     ],
-    ids=["digits", "depth-limit", "depth-limit-config", "search-bound", "depth", "t-end"],
+    ids=[
+        "digits",
+        "depth-limit",
+        "depth-limit-config",
+        "search-bound",
+        "depth",
+        "t-end",
+        "export-trace-horizon-0",
+        "export-trace-horizon-negative",
+        "export-sources-horizon-0",
+        "export-sources-horizon-negative",
+    ],
 )
 def test_negative_argument_exits_2(tmp_path, capsys, argv, detail):
     config = tmp_path / "run.cfg"
     config.write_text(f"sources = {PHI} {RT2}\ndepth_limit = -1\n")
-    assert main([str(config) if arg == "CONFIG" else arg for arg in argv]) == 2
+    trace = tmp_path / "trace.json"
+    trace_argv = ["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "3", "--out", str(trace)]
+    assert main(trace_argv) == 0
+    capsys.readouterr()
+    paths = {"CONFIG": str(config), "TRACE": str(trace)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "ValueError", "detail": detail}

@@ -29,6 +29,7 @@ from irrmeasure import (
     psi_at,
     psi_left_limit,
 )
+from irrmeasure import psi as psi_module
 from irrmeasure.order_dynamics import _by_ends, _certify
 from irrmeasure.psi import perron_bracket, strictly_below
 
@@ -327,26 +328,33 @@ def test_bracket_memo_matches_fresh_sources(spec):
                 assert got == memo_outcome(call, parse_source(spec), t, width)
     # the settled depth depends on the starting depth and the step too
     for m in range(20):
-        for depth in (m + 3, m + 4, m + 6):
+        for extra in (0, 1, 3):
             for step, width in itertools.product((1, 4), widths):
                 got, expected = (
-                    ApproximationError(source, m, depth=depth)
-                    for source in (swept, parse_source(spec))
+                    ApproximationError(source, m) for source in (swept, parse_source(spec))
                 )
+                if extra:
+                    got.refine(extra)
+                    expected.refine(extra)
                 got.refine_to(width, step)
                 expected.refine_to(width, step)
                 assert (got.depth, integer_ends(got)) == (expected.depth, integer_ends(expected))
-    assert swept._brackets and swept._settled
+    assert swept._brackets and swept._handles
     for (m, depth), memo in swept._brackets.items():
         err = ApproximationError(parse_source(spec), m)
         if depth > err.depth:
             err.refine(depth - err.depth)
         assert err.depth == depth
         assert err.bracket == memo.bracket
-    for (m, start, num, den, step), depth in swept._settled.items():
-        err = ApproximationError(parse_source(spec), m, depth=start)
-        err.refine_to(Fraction(num, den), step)
-        assert err.depth == depth
+    for (m, (num, den)), template in swept._handles.items():
+        err = ApproximationError(parse_source(spec), m)
+        err.refine_to(Fraction(num, den))
+        assert (template.m, template.depth, integer_ends(template), template.label) == (
+            m,
+            err.depth,
+            integer_ends(err),
+            None,
+        )
 
 
 def test_refining_a_handle_leaves_later_values_alone():
@@ -366,6 +374,56 @@ def test_refining_a_handle_leaves_later_values_alone():
     assert held.depth == held_depth + 5
 
 
+def test_a_sweep_builds_one_handle_per_level_and_width(monkeypatch):
+    plain = psi_module.ApproximationError
+
+    class Counted(plain):
+        built = 0
+
+        def __init__(self, *args, **kwargs):
+            type(self).built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(psi_module, "ApproximationError", Counted)
+    source, fresh = parse_source("periodic:[1;|1]"), parse_source("periodic:[1;|1]")
+    jump = 10946  # q_20 of phi, the only jump in the window
+    widths = [Fraction(1, 10**24), Fraction(1, 2**80)]
+    handles, keys = [], set()
+    for t in range(jump - 200, jump + 200):
+        for width in widths:
+            calls = [(psi_at, 19 + (t >= jump), f"t={t}")]
+            if t == jump:
+                calls.append((psi_left_limit, 19, f"left of {t}"))
+            for call, m, label in calls:
+                err = call(source, t, width, label)
+                # the same handle as one built and refined outside any memo
+                expected = plain(fresh, m)
+                expected.refine_to(width)
+                assert (err.m, err.depth, integer_ends(err)) == (
+                    m,
+                    expected.depth,
+                    integer_ends(expected),
+                )
+                assert type(err) is Counted and err.label == label
+                handles.append(err)
+                keys.add((m, width.as_integer_ratio()))
+    assert len(keys) == 4 and len(handles) == 802
+    assert Counted.built == len(keys)
+    assert set(source._handles) == keys
+    assert len({id(err) for err in handles}) == len(handles)
+    assert not any(err is template for err in handles for template in source._handles.values())
+    # refining a returned handle moves neither the template nor later values
+    width = widths[0]
+    held = psi_at(source, jump, width, "held")
+    template = source._handles[(held.m, width.as_integer_ratio())]
+    before = (template.depth, template.ends, template.label)
+    held.refine(3)
+    assert (template.depth, template.ends, template.label) == before
+    again = psi_at(source, jump, width)
+    assert (again.depth, integer_ends(again)) == (before[0], integer_ends(template))
+    assert again.depth == held.depth - 3
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize(
     "t, target_width",
@@ -382,29 +440,29 @@ def test_exhausted_explicit_source_reports_its_end(warm, t, target_width):
     if warm:
         for s in range(1, 200):
             psi_at(source, s, target_width=Fraction(1))
-    settled = dict(source._settled)
-    # a search that ran out stores no depth, so it runs out again, and at
+    settled = dict(source._handles)
+    # a search that ran out stores no handle, so it runs out again, and at
     # the same index, without reading further
     for _ in range(2):
         with pytest.raises(SourceExhausted) as info:
             psi_at(source, t, target_width=target_width)
         assert (info.value.index, info.value.available) == (9, 9)
         assert len(source._states) == 9 and len(source._terms) == 9
-        assert source._settled == settled
+        assert source._handles == settled
 
 
 def forbid_reads(source):
-    """Make any state read, or any read of the settled-depth memo, fail."""
+    """Make any state read, or any read of the settled-handle memo, fail."""
 
     class Unreadable(dict):
         def get(self, *args):
-            raise AssertionError("settled-depth memo read")
+            raise AssertionError("settled-handle memo read")
 
     def state(m):
         raise AssertionError(f"state {m} read")
 
     source.state = state
-    source._settled = Unreadable()
+    source._handles = Unreadable()
 
 
 @pytest.mark.parametrize("spec", ["periodic:[1;|1]", "explicit:[0;1,2,3,4,5,6,7,8]"])
@@ -424,13 +482,25 @@ def test_a_width_that_is_not_positive_is_refused_before_any_read(spec, target_wi
             call()
 
 
-def test_a_search_with_a_bad_step_stores_no_depth():
+def test_a_search_with_a_bad_step_stores_no_depth(monkeypatch):
     err = ApproximationError(parse_source("seeded:5:9"), 4)
     with pytest.raises(ValueError, match="refinement step"):
         err.refine_to(Fraction(1, 10**24), step=0)
-    assert err.source._settled == {} and err.depth == 7
+    assert err.source._handles == {} and err.depth == 7
     err.refine_to(Fraction(1, 10**24), step=4)
-    assert err.source._settled == {(4, 7, 1, 10**24, 4): err.depth}
+    # a handle refined by its holder is never stored
+    assert err.source._handles == {}
+    # psi_at's own search, with its step forced below 1, stores nothing
+    t = err.source.state(4).q
+    monkeypatch.setattr(psi_module, "_STEP", 0)
+    with pytest.raises(ValueError, match="refinement step"):
+        psi_at(err.source, t, Fraction(1, 10**24))
+    assert err.source._handles == {}
+    monkeypatch.undo()
+    value = psi_at(err.source, t, Fraction(1, 10**24))
+    template = err.source._handles[(4, (1, 10**24))]
+    assert value is not template
+    assert (template.depth, template.ends) == (value.depth, value.ends) == (err.depth, err.ends)
 
 
 # ------------------------------------------- integer ends against Fractions
