@@ -7,6 +7,23 @@ quotient a = (Q - q_prev) / q.  Because consecutive denominators are
 coprime, each member contributes one congruence with unit-gcd residue;
 events are realized by merging these congruences and picking the smallest
 admissible solution.
+
+On an extremal schedule the merged modulus is always the full product of
+the event's k moduli, so event values grow like a k-step Fibonacci
+sequence.  The moduli are the last k event values.  Any two of them have
+distinct residues i and j, and member i.j jumps at both with no jump in
+between, so they are consecutive denominators of one member, hence
+coprime; no coprimality invariant can shrink their product.  Bit lengths
+grow by about 1.62, 1.84 and 1.93 per event for k = 2, 3 and 4, and a
+k = 5 loop needs at least 26 events, about 1.6e8 bits.
+
+Every division in synthesize is by an owned denominator that is used
+again: each event value is a modulus at the next k events and is tested
+for coprimality at every later one.  CPython divides in quadratic time, so
+above _BARRETT_BITS a _Divisors helper, scoped to one call, gives each such
+denominator a Newton reciprocal at its first longer dividend and reduces
+by Barrett's method, which costs two multiplications per block (Brent
+and Zimmermann, Modern Computer Arithmetic, chapters 1 and 2).
 """
 
 from __future__ import annotations
@@ -87,13 +104,89 @@ def extremal_schedule(k: int, cycles: int) -> JumpSchedule:
     return JumpSchedule(tuple(events), k=k)
 
 
-def _crt_steps(pairs):
+# Divisor bit length from which reductions go through a reciprocal.  On
+# CPython 3.11 a Barrett block beats builtin divmod from about 3500 bits on
+# a fast host, but only from about 16000 bits in a shared host's slow
+# phases, where products slow more than divisions; synth_extremal rounds
+# ran as fast at 8000 as at 4000 when fast, and as at 16000 when slow
+# (BENCH_23).
+_BARRETT_BITS = 8000
+
+
+def _reciprocal(d):
+    """An integer v <= 4**n // d, n = d.bit_length(), a few units below it.
+
+    Newton's iteration for 1/d from the reciprocal of d's top h = n/2 + 8
+    bits: y = v_h 2^s with s = n - h, e = 4^n - d y, v = y + y e / 4^n.  In
+    exact arithmetic 4^n/d - v = (4^n/d)(1 - d y / 4^n)^2 >= 0, and every
+    shift here floors, so v never exceeds 4^n/d; y's relative error below
+    2^-(h-2) leaves v within a few units of it.
+    """
+    n = d.bit_length()
+    if n < _BARRETT_BITS:
+        return (1 << 2 * n) // d
+    h = n // 2 + 8
+    s = n - h
+    v = _reciprocal(d >> s)
+    e = (1 << 2 * n) - (d * v << s)
+    return (v << s) + (v * (e >> (n - 1)) >> (h + 1))
+
+
+class _Divisors:
+    """Exact divmod by the denominators of one synthesize or merge call.
+
+    A divisor d of n >= _BARRETT_BITS bits gets v = _reciprocal(d) at its
+    first use by a dividend longer than n bits, kept until the helper goes;
+    a shorter one is below 2d and needs at most one subtraction.  A longer
+    dividend is split into n-bit blocks from the top, with the first block
+    up to 2n bits.  Each block y < 2^(2n) gets the Barrett quotient
+    ((y >> (n-1)) v) >> (n+1), which is at most y // d since
+    v <= 4^n // d, and is raised by one while the remainder is >= d.  A
+    negative dividend is divided as -x and the result mirrored to floor
+    division.  Smaller divisors use builtin divmod.
+    """
+
+    def __init__(self):
+        self._reciprocals = {}
+
+    def divmod(self, x, d):
+        n = d.bit_length()
+        if n < _BARRETT_BITS:
+            return divmod(x, d)
+        if x < 0:
+            q, r = self.divmod(-x, d)
+            return (-q - 1, d - r) if r else (-q, 0)
+        if x.bit_length() <= n:
+            return (0, x) if x < d else (1, x - d)
+        v = self._reciprocals.get(d)
+        if v is None:
+            v = self._reciprocals[d] = _reciprocal(d)
+        shift = max(0, x.bit_length() - n - 1) // n * n
+        mask = (1 << n) - 1
+        y, q = x >> shift, 0
+        while True:
+            block = ((y >> (n - 1)) * v) >> (n + 1)
+            r = y - block * d
+            while r >= d:
+                block += 1
+                r -= d
+            q = (q << n) + block
+            if not shift:
+                return q, r
+            shift -= n
+            y = (r << n) | (x >> shift & mask)
+
+    def mod(self, x, d):
+        return self.divmod(x, d)[1]
+
+
+def _crt_steps(pairs, divisors):
     """merge_congruences' (r, M), and the digits of each of its steps.
 
     Step j merges x = residue_j (mod q_j) into x = r (mod m), with
     g_j = gcd(m, q_j) and step_j = q_j / g_j: its digit t_j in [0, step_j)
     makes r_j = r + m t_j the solution modulo P_j = m step_j.  steps[j] is
-    (r_j, m / g_j, t_j, step_j).
+    (r_j, m / g_j, t_j, step_j).  Reductions modulo q_j go through divisors.
     """
     r, m = 0, 1
     steps = []
@@ -102,7 +195,7 @@ def _crt_steps(pairs):
             raise ValueError("modulus must be >= 1")
         residue %= modulus
         try:
-            inverse = pow(m, -1, modulus)
+            inverse = pow(divisors.mod(m, modulus), -1, modulus)
         except ValueError:
             g = math.gcd(m, modulus)
             if (residue - r) % g:
@@ -110,10 +203,10 @@ def _crt_steps(pairs):
                     f"congruences x = {r} (mod {m}) and x = {residue} (mod {modulus}) conflict"
                 ) from None
             cofactor, step = m // g, modulus // g
-            digit = (residue - r) // g * pow(cofactor, -1, step)
+            digit = (residue - r) // g * pow(cofactor, -1, step) % step
         else:
-            cofactor, step, digit = m, modulus, (residue - r) % modulus * inverse
-        digit %= step
+            cofactor, step = m, modulus
+            digit = divisors.mod(divisors.mod(residue - r, modulus) * inverse, modulus)
         r += m * digit
         m *= step
         steps.append((r, cofactor, digit, step))
@@ -127,14 +220,15 @@ def merge_congruences(pairs):
     through their gcd g and the inverse of M/g modulo modulus/g.  Raises
     InfeasibleSchedule on contradiction.
 
-    Each step tries pow(M, -1, modulus) first.  It raises ValueError exactly
-    when g > 1; otherwise g = 1 and the inverse is the one the gcd route
-    takes, so (r, M) is the same.  Only then is g computed and the conflict
-    tested, against the same r and M, so the message is the same too.  In
+    Each step tries pow(M mod modulus, -1, modulus) first.  It raises
+    ValueError exactly when g > 1; otherwise g = 1 and the inverse is the
+    one the gcd route takes, so (r, M) is the same.  Only then is g
+    computed and the conflict tested, against the same r and M, so the
+    message is the same too.  In
     synthesize g > 1 takes prefix denominators sharing a factor, or one
     modulus twice, since each event value is coprime to all owned ones.
     """
-    r, m, _ = _crt_steps(pairs)
+    r, m, _ = _crt_steps(pairs, _Divisors())
     return r, m
 
 
@@ -151,7 +245,7 @@ def _primorial(bound):
 _SMALL_PRIME_PRODUCT = _primorial(2000)
 
 
-def _solve_event(congruences, lower_bound, search_bound, owned, small):
+def _solve_event(congruences, lower_bound, search_bound, owned, small, divisors):
     """Least Q >= lower_bound satisfying all congruences, coprime to every owned q.
 
     owned lists every denominator any label already owns.  Keeping each
@@ -171,12 +265,13 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small):
     are ExplicitSource terms.  Q is coprime to every owned q exactly when it
     is coprime to their product, so these tests accept the candidates one
     gcd against that product would, in the same order: the same least Q
-    comes back and search_bound counts the same candidates.
+    comes back and search_bound counts the same candidates.  Each test is
+    gcd(q, Q mod q), with the reduction through divisors.
 
     Returns Q, the merge's steps and u = (Q - r) / M for the merged (r, M),
     counted along the search rather than divided out.
     """
-    r, m, steps = _crt_steps(congruences)
+    r, m, steps = _crt_steps(congruences, divisors)
     u = 0
     if r < lower_bound:
         u = (lower_bound - r + m - 1) // m
@@ -184,7 +279,9 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small):
     moduli = {modulus for _, modulus in congruences}
     others = [q for q in owned if q not in moduli]
     for _ in range(search_bound):
-        if math.gcd(r, small) == 1 and all(math.gcd(r, q) == 1 for q in others):
+        if math.gcd(r, small) == 1 and all(
+            math.gcd(q, divisors.mod(r, q)) == 1 for q in others
+        ):
             return r, steps, u
         r += m
         u += 1
@@ -193,7 +290,7 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small):
     )
 
 
-def _member_quotients(members, steps, u):
+def _member_quotients(members, steps, u, divisors):
     """Each member's quotient (Q - q_prev) / q, read off the merge's digits.
 
     members lists the event's (q, q_prev) in merge order; steps and u come
@@ -206,13 +303,13 @@ def _member_quotients(members, steps, u):
 
     exactly, since r_j = q_prev_j (mod q_j).  The division is of r_j < P_j:
     r_1 is q_prev mod q, and only the last member's r_k is as large as Q,
-    so it alone still divides a full-size number.
+    so it alone still divides a full-size number, through divisors.
     """
     us = [u]
     for _, _, digit, step in steps[:0:-1]:
         us.append(digit + step * us[-1])
     return [
-        (r - q_prev) // q + cofactor * u
+        divisors.divmod(r - q_prev, q)[0] + cofactor * u
         for (q, q_prev), (r, cofactor, _, _), u in zip(members, steps, us[::-1])
     ]
 
@@ -237,6 +334,29 @@ class SynthesisResult:
 
     def sources(self) -> dict:
         return {label: ExplicitSource(terms) for label, terms in self.quotients.items()}
+
+    @property
+    def certified_horizon(self) -> int:
+        """The last event value whose order needs no padded quotient.
+
+        Number the N events from 1.  At event e each member's ψ handle
+        starts from its quotients up to a_{m+2}, for its level
+        q_m <= t < q_{m+1}, and a_{m+2} = (q_{m+2} - q_m) / q_{m+1} is fixed
+        by the member's second jump after t.  The diagonal member c.c that
+        jumps at e jumps once per cycle, so that is event e + 2k.  Every
+        other member last jumped at or before e, and each member's two
+        consecutive gaps sum to at most 2k, so its a_{m+2} is fixed by event
+        e + 2k or earlier.  The last event whose handles start from
+        scheduled quotients only is therefore N - 2k, with the value
+        event_values[-(2k+1)].  A comparison refined deeper may still read
+        padding.  Needs the schedule's k and more than 2k events.
+        """
+        k = self.schedule.k
+        if k is None or len(self.event_values) <= 2 * k:
+            raise ValueError(
+                "a certified horizon needs an extremal schedule of more than 2k events"
+            )
+        return self.event_values[-(2 * k + 1)]
 
     def padded_sources(self, extra: int = 40, fill: int = 1) -> dict:
         """Sources extended with filler quotients for bracket refinement.
@@ -316,6 +436,7 @@ def synthesize(
         states[label] = (qs[-1], qs[-2], len(terms) - 1)
         owned += qs
     small = math.lcm(*(math.gcd(q, _SMALL_PRIME_PRODUCT) for q in owned))
+    divisors = _Divisors()
     event_values = []
     certificates = []
     last_q = 0
@@ -323,9 +444,12 @@ def synthesize(
         members = [states[label][:2] for label in sorted(event)]
         congruences = [(q_prev % q, q) for q, q_prev in members]
         lower = max([last_q + 1] + [q + q_prev for q, q_prev in members])
-        value, steps, u = _solve_event(congruences, lower, search_bound, owned, small)
+        value, steps, u = _solve_event(
+            congruences, lower, search_bound, owned, small, divisors
+        )
         certs = []
-        for label, quotient in zip(sorted(event), _member_quotients(members, steps, u)):
+        quotients_now = _member_quotients(members, steps, u, divisors)
+        for label, quotient in zip(sorted(event), quotients_now):
             q, q_prev, m = states[label]
             if quotient < 1:
                 raise QuotientUnderflow(

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven release criteria, one reported line each.
+"""Acceptance gate: the twelve release criteria, one reported line each.
 
 Every test prints "ACCEPTANCE <n> <name>: PASS" (or FAIL) so the release
 record carries one line per criterion.  Criteria with a runtime budget
@@ -11,6 +11,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -41,6 +42,7 @@ from irrmeasure import (
     triangle_size,
     verify_structure,
 )
+from irrmeasure import order_dynamics
 from irrmeasure.cli_io import main as cli_main
 from irrmeasure.triangle_perm import canonical_predecessor
 
@@ -323,3 +325,25 @@ def test_acceptance_11_reproducibility(tmp_path):
     assert cli_main(["trace", "--config", str(config), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert json.loads(first.read_text())["header"]["config"]["count"] == 25
+
+
+@reported(12, "extremal pipeline")
+def test_acceptance_12_extremal_pipeline():
+    # synthesize, trace the padded members up to the certified horizon, then
+    # check laws i-vi.  The moment loop runs directly: a trace header would
+    # write quotients past the 4300-digit guard.
+    for k, cycles, count in ((2, 10, 14), (3, 6, 9)):
+        result = synthesize(extremal_schedule(k, cycles))
+        ftuple = FunctionTuple.build(result.padded_sources(extra=60).items())
+        start = order_dynamics.clamp_start(ftuple, 1)
+        horizon = result.certified_horizon
+        events = takewhile(
+            lambda event: event.t <= horizon, order_dynamics.iter_events(ftuple, start)
+        )
+        v0, *moments = order_dynamics._change_moments(
+            ftuple, start, events, order_dynamics.DEFAULT_DEPTH_LIMIT
+        )
+        assert len(moments) == count and moments[-1].t <= horizon
+        report = verify_structure(ChangeTrace(start, v0, tuple(moments)), k)
+        assert sorted(report.items) == ["i", "ii", "iii", "iv", "v", "vi"]
+        assert report.all_passed, {key: item.status for key, item in report.items.items()}

@@ -19,6 +19,7 @@ from irrmeasure import (
     replay_check,
     synthesize,
 )
+from irrmeasure import synth
 from irrmeasure.cli_io import canonical_json
 
 AB = frozenset({"A", "B"})
@@ -81,6 +82,96 @@ def test_merge_congruences_matches_brute_force(pairs):
     else:
         assert len(hits) == 1
         assert merge_congruences(pairs) == (hits[0], lcm)
+
+
+# ------------------------------------------------------------- reductions
+
+CROSSOVER = synth._BARRETT_BITS
+
+
+@st.composite
+def divisors(draw):
+    """Divisors on both sides of the crossover, some of the forms 2^k, 2^k +- 1."""
+    bits = draw(
+        st.sampled_from([1, 2, 64, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 2 * CROSSOVER])
+        | st.integers(1, 5 * CROSSOVER)
+    )
+    form = draw(st.sampled_from(["random", "2^k", "2^k-1", "2^k+1"]))
+    if form == "random":
+        return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return {"2^k": 1 << bits, "2^k-1": max(1, (1 << bits) - 1), "2^k+1": (1 << bits) + 1}[form]
+
+
+@st.composite
+def dividends(draw, d):
+    kind = draw(st.sampled_from(["below", "multiple", "blocks"]))
+    if kind == "below":
+        x = draw(st.integers(0, d - 1))
+    elif kind == "multiple":
+        x = d * draw(st.integers(0, d * d))
+    else:
+        x = draw(st.integers(d * d, d**5))
+    return -x if draw(st.booleans()) else x
+
+
+def check_division(x, d):
+    divisors_helper = synth._Divisors()
+    assert divisors_helper.divmod(x, d) == divmod(x, d)
+    assert divisors_helper.mod(x, d) == x % d
+    # a second dividend through the kept reciprocal
+    assert divisors_helper.divmod(x + 1, d) == divmod(x + 1, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_divisors_match_builtin_divmod(data):
+    d = data.draw(divisors())
+    check_division(data.draw(dividends(d)), d)
+
+
+EDGE_DIVISORS = {
+    "1": 1,
+    "2^(c-1)-1": (1 << CROSSOVER - 1) - 1,
+    "2^(c-1)": 1 << CROSSOVER - 1,
+    "2^c-1": (1 << CROSSOVER) - 1,
+    "2^c": 1 << CROSSOVER,
+    "2^c+1": (1 << CROSSOVER) + 1,
+    "2^3c-1": (1 << 3 * CROSSOVER) - 1,
+    "2^3c+1": (1 << 3 * CROSSOVER) + 1,
+    "3^(2c)": 3 ** (2 * CROSSOVER),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_DIVISORS)
+def test_divisors_at_the_edges(name):
+    d = EDGE_DIVISORS[name]
+    # the CRT passes residue - r, negative and up to many blocks long
+    for x in (0, 1, -1, d - 1, d, -d, d + 1, d * d - 1, d * d, -(d * d) - 1, d**4 + d - 1, -(d**4)):
+        check_division(x, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(divisors())
+@example(1 << 5 * CROSSOVER)
+@example((1 << 5 * CROSSOVER) - 1)
+def test_reciprocal_is_a_few_units_below_the_quotient(d):
+    n = d.bit_length()
+    exact = (1 << 2 * n) // d
+    assert exact - 4 <= synth._reciprocal(d) <= exact
+
+
+def test_reciprocals_are_built_once_per_divisor_above_the_crossover():
+    helper = synth._Divisors()
+    small, large = (1 << CROSSOVER - 2) + 1, 1 << CROSSOVER - 1
+    # dividends no longer than the divisor need no reciprocal
+    assert helper.divmod(large - 1, large) == (0, large - 1)
+    assert helper.divmod(2 * large - 1, large) == (1, large - 1)
+    assert helper.divmod(-1, large) == (-1, large - 1)
+    assert helper._reciprocals == {}
+    for x in (10**5000, 7**9000):
+        helper.mod(x, small)
+        helper.mod(x, large)
+    assert list(helper._reciprocals) == [large]
 
 
 # ------------------------------------------------------------------ schedule
@@ -451,6 +542,63 @@ def test_seeded_prefix_document_is_frozen():
     assert document_sha256(result) == (
         "be92a5a09ac43116515c2162971a1771aa03498d4b1273c8c69a32973e36d21b"
     )
+
+
+def result_sha256(result):
+    """sha256 over the event values, quotients and certificates, in hex."""
+    lines = [",".join(f"{v:x}" for v in result.event_values)]
+    for label in sorted(result.quotients):
+        lines.append(label + ":" + ",".join(f"{a:x}" for a in result.quotients[label]))
+    for certs in result.certificates:
+        lines.append(";".join(
+            f"{c.label},{c.modulus:x},{c.residue:x},{c.quotient:x},{c.cf_index}"
+            for c in certs
+        ))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# computed before reductions went through reciprocals; every case has event
+# values past 2 * CROSSOVER bits, so it divides through Barrett blocks and
+# reciprocals built by at least one Newton step
+ABOVE_CROSSOVER = {
+    "extremal-2-12": (
+        (2, 12), None, "da518918a8382042f0ad9d35febd35301754dcffdb8fd81055d16caf107055d4"
+    ),
+    "extremal-3-6": (
+        (3, 6), None, "fd85b06240eb82eee2950d01c6c6f986508f77fba8ded4e7cdeef89ff1396ce0"
+    ),
+    "extremal-5-3": (
+        (5, 3), None, "7837183e6875ea19c064dbb6aa3d643fd40fe9b3500bddd26815fec0aae43251"
+    ),
+    # random.Random(23).sample(range(1, 7), 6)
+    "seeded-3-5": (
+        (3, 5), [3, 1, 5, 6, 2, 4],
+        "3d8eb4f4f425f56dd355f44dc0b37154b26662ada791bec9bd32edd7c5f7b732",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ABOVE_CROSSOVER)
+def test_synthesis_above_the_crossover_is_frozen(case):
+    (k, cycles), firsts, digest = ABOVE_CROSSOVER[case]
+    schedule = extremal_schedule(k, cycles)
+    prefixes = None
+    if firsts is not None:
+        prefixes = {label: [0, a] for label, a in zip(schedule.labels, firsts)}
+    result = synthesize(schedule, prefixes=prefixes)
+    assert result.event_values[-1].bit_length() > 2 * CROSSOVER
+    assert result_sha256(result) == digest
+
+
+def test_certified_horizon_is_the_value_2k_events_before_the_end():
+    for k, cycles in ((2, 3), (3, 3), (4, 3)):
+        result = synthesize(extremal_schedule(k, cycles))
+        assert result.certified_horizon == result.event_values[-(2 * k + 1)]
+        assert "certified_horizon" not in result.to_document()
+    message = "a certified horizon needs an extremal schedule of more than 2k events"
+    for result in (synthesize(JumpSchedule([AB, AC, BC])), synthesize(extremal_schedule(2, 2))):
+        with pytest.raises(ValueError, match=message):
+            result.certified_horizon
 
 
 def test_event_values_strictly_increase():
