@@ -93,7 +93,9 @@ class PartialQuotientSource:
     cached.  Caches only ever grow, and each entry is a frozen value fixed
     by the quotients alone (no reader ever holds a cached handle itself),
     so sharing a source between readers is harmless: no reader can see
-    another's refinement depth.
+    another's refinement depth.  Beside them, psi_at's level cursor points
+    at the one level it served last, as (width object, q_m, q_{m+1},
+    settled handle); it moves, it never grows.
     """
 
     def __init__(self):
@@ -102,6 +104,7 @@ class PartialQuotientSource:
         self._denominators: list[int] = []  # q of each state in _states
         self._brackets: dict[tuple[int, int], object] = {}  # psi._BracketEnds
         self._handles: dict[tuple[int, tuple[int, int]], object] = {}  # psi.ApproximationError
+        self._cursor: tuple = (None, 0, 0, None)  # psi_at's last level; matches no t
 
     def _emit(self, m: int) -> int:
         raise NotImplementedError

@@ -199,23 +199,34 @@ def format_decimal(x: Fraction, places: int, direction: str) -> str:
     """Fixed-point decimal, rounded outward so brackets stay brackets.
 
     direction is "down" (floor) or "up" (ceiling) and places is at least
-    1; anything else raises ValueError.  Every t of a psi level prints the
-    same two bracket ends, so the text comes from a small memo keyed by
-    the exact integers (num, den, places, direction), not by the Fraction,
-    whose hash costs a modular inverse.
+    1; anything else raises ValueError, memo or not.  Every copy of a psi
+    level's handle shares one pair of bracket ends, so a sweep passes the
+    very same lo and hi Fraction objects for every t of the level.  The
+    text therefore comes from a memo of the last end printed in each
+    direction, matched by the object itself (`is`) and places: no
+    as_integer_ratio and no hash of the Fraction, whose hash costs a
+    modular inverse.  The memo holds its two ends strongly, so no other
+    object can take over their ids.
     """
     if places < 1:
         raise ValueError(f"places must be >= 1, got {places}")
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    held = _last_printed.get(direction)
+    if held is not None and held[0] is x and held[1] == places:
+        return held[2]
+    text = _decimal_text(x, places, direction)
+    _last_printed[direction] = (x, places, text)
+    return text
+
+
+# direction -> (end, places, text) of the last end printed that way; two
+# entries at most, so no million-bit ends of extremal tuples pile up
+_last_printed: dict[str, tuple[Fraction, int, str]] = {}
+
+
+def _decimal_text(x: Fraction, places: int, direction: str) -> str:
     num, den = x.as_integer_ratio()
-    return _decimal_text(num, den, places, direction)
-
-
-# two entries per psi level suffice; a small bound keeps no million-bit
-# ends of extremal tuples alive
-@lru_cache(maxsize=8)
-def _decimal_text(num: int, den: int, places: int, direction: str) -> str:
     scaled = num * 10**places
     n = scaled // den if direction == "down" else -(-scaled // den)
     sign = "-" if n < 0 else ""

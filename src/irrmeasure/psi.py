@@ -193,14 +193,12 @@ def _width_ratio(target_width: Fraction) -> tuple[int, int]:
     return num, den
 
 
-def _refined(
-    source: PartialQuotientSource, m: int, width: tuple[int, int], label: str | None
-) -> ApproximationError:
-    """A fresh handle at level m, refined to width = (num, den) from m + 3.
+def _settled(source: PartialQuotientSource, m: int, width: tuple[int, int]) -> ApproximationError:
+    """The source's settled template at level m for width = (num, den).
 
-    The source keeps one settled template per (m, width): built and
-    refined on the first call, and stored only if that search returns.
-    Every call gets its own copy of it, so the template never moves.
+    Built at m + 3 and refined by refine_to's search on the first call,
+    and stored only if that search returns.  Callers hand out copies of
+    it, so the template never moves.
     """
     key = (m, width)
     template = source._handles.get(key)
@@ -208,7 +206,7 @@ def _refined(
         template = ApproximationError(source, m)
         template._settle(*width, _STEP)
         source._handles[key] = template
-    return template._copy(label)
+    return template
 
 
 def _level(source: PartialQuotientSource, t: int) -> int:
@@ -245,9 +243,22 @@ def psi_at(
     target_width.as_integer_ratio()), and each call returns a copy of it
     with its own depth and label; a search that raises stores nothing.
     A target_width <= 0 raises ValueError before the source is read.
+
+    The source's level cursor remembers the last level served: a call
+    with the same target_width object and q_m <= t < q_{m+1} copies that
+    level's template at once, with no width test, level search or memo
+    lookup.  Every other call takes the full path and then moves the
+    cursor, so it never holds more than one template.
     """
-    width = _width_ratio(target_width)
-    return _refined(source, _level(source, t), width, label)
+    width, q_lo, q_hi, template = source._cursor
+    if width is target_width and q_lo <= t < q_hi:
+        return template._copy(label)
+    ratio = _width_ratio(target_width)
+    m = _level(source, t)
+    template = _settled(source, m, ratio)
+    q = source._denominators
+    source._cursor = (target_width, q[m], q[m + 1], template)
+    return template._copy(label)
 
 
 def psi_left_limit(
@@ -268,7 +279,7 @@ def psi_left_limit(
     m = source.seek(t)
     if source.state(m).q != t or m < 2:
         raise NotAJumpPoint(f"t={t} is not a denominator with index >= 2")
-    return _refined(source, m - 1, width, label)
+    return _settled(source, m - 1, width)._copy(label)
 
 
 def perron_bracket(

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from irrmeasure import cli_io
 from irrmeasure.cli_io import (
     CSV_HEADER,
     OUTPUT_DIR_ENV,
@@ -216,6 +217,65 @@ def test_format_decimal_refuses_bad_arguments_on_every_call(places, direction):
     for _ in range(2):
         with pytest.raises(ValueError):
             format_decimal(Fraction(5, 2), places, direction)
+
+
+def integer_decimal_text(num, den, places, direction):
+    """format_decimal's integer formula on num/den, kept as its oracle."""
+    scaled = num * 10**places
+    n = scaled // den if direction == "down" else -(-scaled // den)
+    sign = "-" if n < 0 else ""
+    digits = str(abs(n)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(FRACTIONS, min_size=1, max_size=6),
+    st.lists(
+        st.tuples(
+            st.integers(0, 11),  # an end from the pool, modulo its size
+            st.sampled_from([1, 2, 30, 80]),
+            st.sampled_from(["down", "up"]),
+        ),
+        max_size=40,
+    ),
+)
+def test_format_decimal_memo_keys_on_the_end_itself(xs, calls):
+    # each value twice, as two distinct but equal Fraction objects
+    pool = xs + [Fraction(x.numerator, x.denominator) for x in xs]
+    assert all(a == b and a is not b for a, b in zip(xs, pool[len(xs) :]))
+    # a sweep: the lo and hi of each level in turn, three t per level
+    sweep = [
+        (x, 30, d)
+        for lo, hi in zip(pool, pool[1:])
+        for _ in range(3)
+        for x, d in ((lo, "down"), (hi, "up"))
+    ]
+    for x, places, direction in sweep + [(pool[i % len(pool)], p, d) for i, p, d in calls]:
+        num, den = x.as_integer_ratio()
+        expected = integer_decimal_text(num, den, places, direction)
+        assert format_decimal(x, places, direction) == expected
+        assert len(cli_io._last_printed) <= 2
+
+
+def test_format_decimal_never_matches_a_freed_end():
+    # ends freed at once may hand their ids to the next ones; the memo
+    # holds the last ends, so a new object never matches an old entry
+    for i in range(-300, 300):
+        for direction in ("down", "up"):
+            x = Fraction(i, 7)
+            assert format_decimal(x, 5, direction) == integer_decimal_text(i, 7, 5, direction)
+
+
+def test_format_decimal_checks_its_arguments_before_the_memo():
+    x = Fraction(5, 2)
+    for places, direction in [(3, "down"), (3, "up"), (1, "down")]:
+        expected = integer_decimal_text(5, 2, places, direction)
+        assert format_decimal(x, places, direction) == expected
+    for places, direction in [(0, "down"), (-3, "up"), (1, "Down"), (1, "nearest"), (1, None)]:
+        with pytest.raises(ValueError):
+            format_decimal(x, places, direction)
+    assert format_decimal(x, 1, "down") == "2.5"
 
 
 def fraction_places_for(hi, minimum=30):

@@ -503,6 +503,136 @@ def test_a_search_with_a_bad_step_stores_no_depth(monkeypatch):
     assert (template.depth, template.ends) == (value.depth, value.ends) == (err.depth, err.ends)
 
 
+# ------------------------------------------------------ the level cursor
+
+CURSOR_SPECS = [
+    "periodic:[1;|1]",
+    "periodic:[1;|2]",
+    "rule:e",
+    "seeded:5:9",
+    "explicit:[0;1,2,3,4,5,6,7,8]",  # q_8 = 81201 is its last denominator
+]
+CURSOR_WIDTH = Fraction(1, 10**24)
+
+
+def cursor_outcome(call, source, t, width, label):
+    """(handle or None, plain values of what call returned or raised)."""
+    try:
+        err = call(source, t, width, label)
+    except SourceExhausted as exc:
+        return None, ("exhausted", exc.index, exc.available)
+    except (NotAJumpPoint, ValueError) as exc:
+        return None, (type(exc), str(exc))
+    return err, (type(err), err.m, err.q, err.depth, integer_ends(err), err.label)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(CURSOR_SPECS),
+    st.lists(
+        st.tuples(
+            st.sampled_from([psi_at, psi_left_limit]),
+            st.integers(0, 24),  # a level m, clamped to the source's last
+            st.integers(-2, 2),  # t = q_m + offset, around the jump at q_m
+            st.sampled_from(["same", "equal", "other"]),
+            st.booleans(),  # repeat the previous call's t instead
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@example(
+    "periodic:[1;|1]",
+    [
+        (psi_at, 20, -1, "same", False),  # the cursor takes level 19
+        (psi_at, 20, 0, "same", False),  # t = q_20 is past it
+        (psi_at, 20, 0, "equal", True),
+        (psi_at, 20, -1, "same", False),
+        (psi_at, 20, -1, "same", True),  # a hit
+        (psi_at, 20, -1, "other", True),  # same level, another width
+        (psi_left_limit, 20, 0, "same", False),
+        (psi_at, 20, 1, "same", False),
+    ],
+)
+def test_the_level_cursor_serves_what_a_fresh_source_serves(spec, calls):
+    source, levels = parse_source(spec), parse_source(spec)
+    last = 8 if spec.startswith("explicit") else 24
+    other = Fraction(1, 10**6)
+    returned, t = [], 1
+    for index, (call, m, offset, which, repeat) in enumerate(calls):
+        if not repeat:
+            t = max(1, levels.state(min(m, last)).q + offset)
+        # "equal" is a Fraction equal to the cursor's width but not it
+        width = {"same": CURSOR_WIDTH, "equal": Fraction(1, 10**24), "other": other}[which]
+        label = f"call {index}"
+        err, got = cursor_outcome(call, source, t, width, label)
+        assert got == cursor_outcome(call, parse_source(spec), t, width, label)[1]
+        if err is not None:
+            assert not any(err is kept for kept in returned)
+            assert not any(err is template for template in source._handles.values())
+            assert err is not source._cursor[3]
+            returned.append(err)
+
+
+def warm_cursor(spec, t=700):
+    """A source whose cursor holds t's level at CURSOR_WIDTH, after a hit."""
+    source = parse_source(spec)
+    psi_at(source, t, CURSOR_WIDTH)
+    psi_at(source, t, CURSOR_WIDTH)
+    assert source._cursor[0] is CURSOR_WIDTH and source._cursor[1] <= t < source._cursor[2]
+    return source
+
+
+@pytest.mark.parametrize("target_width", [Fraction(0), Fraction(-3, 7), 0])
+def test_a_width_that_is_not_positive_is_refused_after_a_hit(target_width):
+    source = warm_cursor("seeded:5:9")
+    forbid_reads(source)
+    with pytest.raises(ValueError, match="target width must be positive"):
+        psi_at(source, 700, target_width)
+
+
+@pytest.mark.parametrize("t", [0, -1, -(10**30)])
+def test_a_t_below_1_is_refused_after_a_hit(t):
+    # t = 1 puts the cursor on the lowest level there is
+    source = warm_cursor("periodic:[1;|2]", t=1)
+    with pytest.raises(ValueError, match="t must be a positive integer"):
+        psi_at(source, t, CURSOR_WIDTH)
+
+
+@pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 10**6), CURSOR_WIDTH])
+def test_an_explicit_source_runs_out_alike_cold_and_warm(width):
+    spec = "explicit:[0;1,2,3,4,5,6,7,8]"
+    ts = [1, 2, 3, 9, 10, 42, 43, 44, 1392, 1393, 9976, 81200, 81201, 10**6]
+    ts += ts[::-1] + ts
+    warm = parse_source(spec)
+    for t in ts:
+        cold = cursor_outcome(psi_at, parse_source(spec), t, width, None)[1]
+        before = warm._cursor
+        assert cursor_outcome(psi_at, warm, t, width, None)[1] == cold
+        if cold[0] == "exhausted":
+            # a call that ran out leaves the cursor where it was
+            assert warm._cursor is before
+    assert cold == ("exhausted", 9, 9)  # t = 10**6 is past q_8
+
+
+def test_refining_a_hit_moves_neither_the_cursor_nor_later_values():
+    source = warm_cursor("seeded:5:9")
+    template = source._cursor[3]
+    before = (template.depth, template.ends, template.label)
+    held = psi_at(source, 701, CURSOR_WIDTH, "held")
+    held.refine(3)
+    assert source._cursor[3] is template
+    assert (template.depth, template.ends, template.label) == before
+    again = psi_at(source, 702, CURSOR_WIDTH)
+    expected = psi_at(parse_source("seeded:5:9"), 702, CURSOR_WIDTH)
+    assert (again.m, again.depth, integer_ends(again)) == (
+        expected.m,
+        expected.depth,
+        integer_ends(expected),
+    )
+    assert held.depth == again.depth + 3
+
+
 # ------------------------------------------- integer ends against Fractions
 
 
