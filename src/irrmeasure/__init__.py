@@ -17,10 +17,8 @@ from .cf_engine import (
     bracket,
     initial_state,
     parse_source,
-    tail_bracket,
 )
 from .errors import (
-    CapExceeded,
     ComparisonUndecided,
     EnumerationInferenceFailed,
     HypothesisNotMet,
@@ -49,9 +47,6 @@ from .order_dynamics import (
 )
 from .psi import (
     ApproximationError,
-    brute_force_psi,
-    iter_brute_force_psi,
-    nearest_integer_distance,
     psi_at,
     psi_left_limit,
 )

@@ -86,24 +86,20 @@ class RationalBracket:
 class PartialQuotientSource:
     """Lazily extended sequence of partial quotients defining one number.
 
-    Subclasses implement _emit(m).  Emitted terms, convergent states (with
-    their denominators in a plain list that seek bisects), the psi bracket
-    ends that ApproximationError builds per (level, depth) and one handle
-    per (level, width) settled by refine_to, which psi_at copies, are
-    cached.  Caches only ever grow, and each entry is a frozen value fixed
-    by the quotients alone (no reader ever holds a cached handle itself),
-    so sharing a source between readers is harmless: no reader can see
-    another's refinement depth.  Beside them, psi_at's level cursor points
-    at the one level it served last, as (width object, q_m, q_{m+1},
-    settled handle); it moves, it never grows.
+    Subclasses implement _emit(m).  Emitted terms and convergent states
+    (with their denominators in a plain list that seek bisects) are
+    cached.  The caches only ever grow, and each entry is a frozen value
+    fixed by the quotients alone, so sharing a source between readers is
+    harmless.  Beside them, psi_at's level cursor points at the one level
+    it served last, as (width object, q_m, q_{m+1}, settled handle); it
+    moves, it never grows, and psi_at hands out only copies of its handle,
+    so no reader can see another's refinement depth.
     """
 
     def __init__(self):
         self._terms: list[int] = []
         self._states: list[ConvergentState] = []
         self._denominators: list[int] = []  # q of each state in _states
-        self._brackets: dict[tuple[int, int], object] = {}  # psi._BracketEnds
-        self._handles: dict[tuple[int, tuple[int, int]], object] = {}  # psi.ApproximationError
         self._cursor: tuple = (None, 0, 0, None)  # psi_at's last level; matches no t
 
     def _emit(self, m: int) -> int:
@@ -344,25 +340,3 @@ def bracket(source: PartialQuotientSource, depth: int) -> RationalBracket:
         lo_value, hi_value = hi_value, lo_value
     return RationalBracket(lo_value, hi_value)
 
-
-def tail_bracket(source: PartialQuotientSource, m: int, depth: int) -> RationalBracket:
-    """Bracket of the tail alpha_m = [a_m; a_{m+1}, ...].
-
-    depth counts how many quotients of the tail are consumed.  depth 1
-    falls back to the trivial enclosure [a_m, a_m + 1].
-    """
-    if m < 0:
-        raise ValueError("tail index must be >= 0")
-    if depth < 1:
-        raise ValueError("tail bracket needs depth >= 1")
-    a_m = source.term(m)
-    if depth == 1:
-        return RationalBracket(Fraction(a_m), Fraction(a_m + 1))
-    state = initial_state(a_m)
-    for i in range(1, depth):
-        state = state.advance(source.term(m + i))
-    lo_value = state.value
-    hi_value = Fraction(state.p_prev, state.q_prev)
-    if lo_value > hi_value:
-        lo_value, hi_value = hi_value, lo_value
-    return RationalBracket(lo_value, hi_value)

@@ -342,13 +342,16 @@ def cmd_psi(args) -> int:
     width = Fraction(1, 10**args.digits)
     rows = []
     t_values = [args.t] if args.t_end is None else range(args.t, args.t_end + 1)
+    hi = None  # the t of one level share their hi, and so its places
     for t in t_values:
         err = (
             psi_left_limit(source, t, target_width=width)
             if args.left
             else psi_at(source, t, target_width=width)
         )
-        places = _places_for(err.bracket.hi)
+        if err.bracket.hi is not hi:
+            hi = err.bracket.hi
+            places = _places_for(hi)
         rows.append(
             {
                 "t": str(t),
@@ -443,10 +446,13 @@ def _sampled_points(event_times, tail: int | None):
 def staircase_rows(ftuple: FunctionTuple, t_points, digits: int = 30):
     width = Fraction(1, 10**digits)
     rows = []
+    hi = None  # the t of one level share their hi, and so its places
     for label, source in ftuple.members:
         for t, kind in t_points:
             err = psi_at(source, t, target_width=width)
-            places = _places_for(err.bracket.hi, minimum=digits)
+            if err.bracket.hi is not hi:
+                hi = err.bracket.hi
+                places = _places_for(hi, minimum=digits)
             rows.append(
                 (
                     label,

@@ -43,10 +43,6 @@ class ComparisonUndecided(IrrMeasureError):
         )
 
 
-class CapExceeded(IrrMeasureError):
-    """A brute-force request went past the configured work cap."""
-
-
 class IndexOutOfRange(IrrMeasureError):
     """A triangular pair or linear position lies outside the valid range."""
 

@@ -12,45 +12,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import cf_engine
 from .cf_engine import PartialQuotientSource, RationalBracket
-from .errors import CapExceeded, NotAJumpPoint
+from .errors import NotAJumpPoint
 
 DEFAULT_TARGET_WIDTH = Fraction(1, 2**80)
-DEFAULT_ORACLE_CAP = 100_000
 _STEP = 4  # refine_to's default step, which psi_at and psi_left_limit use
 
 
-def fractional_distance(x: Fraction) -> Fraction:
-    """||x||: distance from an exact rational to the nearest integer."""
-    fr = x - math.floor(x)
-    return min(fr, 1 - fr)
-
-
-def nearest_integer_distance(interval: RationalBracket) -> RationalBracket:
-    """Enclosure of ||x|| over all x in the interval.
-
-    Exact case analysis: the minimum drops to 0 when the interval contains
-    an integer, the maximum caps at 1/2 when it contains a half-integer.
-    """
-    lo, hi = interval.lo, interval.hi
-    half = Fraction(1, 2)
-    if hi - lo >= 1:
-        return RationalBracket(Fraction(0), half)
-    d_lo, d_hi = fractional_distance(lo), fractional_distance(hi)
-    contains_integer = math.floor(hi) >= math.ceil(lo)
-    contains_half = math.floor(hi - half) >= math.ceil(lo - half)
-    out_lo = Fraction(0) if contains_integer else min(d_lo, d_hi)
-    out_hi = half if contains_half else max(d_lo, d_hi)
-    return RationalBracket(out_lo, out_hi)
-
-
 class _BracketEnds:
-    """One memo entry: the ends lo = lo_num/lo_den <= hi = hi_num/hi_den.
+    """The ends lo = lo_num/lo_den <= hi = hi_num/hi_den of one handle.
 
     Handles are ordered and separated by cross-multiplying these integers
     (see strictly_below); the RationalBracket of the two Fractions is built
-    the first time .bracket is read and then kept here.
+    the first time .bracket is read and then kept here.  Copies of a handle
+    share this object, so they share one lo and one hi Fraction too.
     """
 
     __slots__ = ("lo_num", "lo_den", "hi_num", "hi_den", "_bracket")
@@ -72,11 +47,9 @@ class _BracketEnds:
 class ApproximationError:
     """Refinable exact bracket for ||q_m * alpha|| at one staircase level.
 
-    The handle owns its current refinement depth; refine() only ever moves
-    this object's depth.  The ends at each (m, depth) are memoized on the
-    source, next to its term and state caches.  They are a frozen value
-    fixed by the source's convergents and (m, depth) alone, so handles at
-    the same level share entries without seeing each other's depth.
+    The handle owns its current refinement depth and ends; refine() only
+    ever moves this object's, stepping the ends it holds, so no handle sees
+    another's depth.
 
     At depth D the ends are K_d/q_d, d = D-2, D-1: ||x|| at convergents of
     q_m*alpha.  With p_n nearest q_m*alpha (n = m, or n = 1 at m = 0 with
@@ -126,22 +99,16 @@ class ApproximationError:
         return copy
 
     def _ends_at(self, depth: int, top: int, shallow: int, deep: int) -> _BracketEnds:
-        """Memo entry at (m, depth); a miss steps (K_{top-1}, K_top) =
-        (shallow, deep) up to depth - 1.  The state read first caches the
-        quotients, so an explicit source runs out where it always did."""
-        key = (self.m, depth)
-        ends = self.source._brackets.get(key)
-        if ends is None:
-            deepest = self.source.state(depth - 1)
-            terms = self.source._terms
-            for d in range(top + 1, depth):
-                shallow, deep = deep, terms[d] * deep + shallow
-            if (depth - self._n) % 2:
-                ends = _BracketEnds(deep, deepest.q, shallow, deepest.q_prev)
-            else:
-                ends = _BracketEnds(shallow, deepest.q_prev, deep, deepest.q)
-            self.source._brackets[key] = ends
-        return ends
+        """New ends at depth, stepping (K_{top-1}, K_top) = (shallow, deep)
+        up to depth - 1.  The state read first caches the quotients, so an
+        explicit source runs out before anything is stepped."""
+        deepest = self.source.state(depth - 1)
+        terms = self.source._terms
+        for d in range(top + 1, depth):
+            shallow, deep = deep, terms[d] * deep + shallow
+        if (depth - self._n) % 2:
+            return _BracketEnds(deep, deepest.q, shallow, deepest.q_prev)
+        return _BracketEnds(shallow, deepest.q_prev, deep, deepest.q)
 
     def _move_to(self, depth: int) -> None:
         e = self.ends  # (K_{D-2}, K_{D-1}) at D = self.depth, by the parity rule
@@ -160,7 +127,7 @@ class ApproximationError:
         Both ends lie on the same side of p_n, so the width at depth D is
         q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the determinant
         identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The test is
-        therefore an integer product; the ends memo is read once, at the
+        therefore an integer product; the ends are stepped once, to the
         final depth, and only if the depth moved.  A target_width that is
         not positive raises ValueError before anything is read.
         """
@@ -185,8 +152,8 @@ class ApproximationError:
 
 
 def _width_ratio(target_width: Fraction) -> tuple[int, int]:
-    """target_width > 0 as (num, den): the memo's key, as hashing a Fraction
-    costs a modular inverse.  No depth reaches a width <= 0."""
+    """target_width > 0 as (num, den), the integers the width search
+    compares.  No depth reaches a width <= 0."""
     num, den = target_width.as_integer_ratio()
     if num <= 0:
         raise ValueError("target width must be positive")
@@ -194,19 +161,11 @@ def _width_ratio(target_width: Fraction) -> tuple[int, int]:
 
 
 def _settled(source: PartialQuotientSource, m: int, width: tuple[int, int]) -> ApproximationError:
-    """The source's settled template at level m for width = (num, den).
-
-    Built at m + 3 and refined by refine_to's search on the first call,
-    and stored only if that search returns.  Callers hand out copies of
-    it, so the template never moves.
-    """
-    key = (m, width)
-    template = source._handles.get(key)
-    if template is None:
-        template = ApproximationError(source, m)
-        template._settle(*width, _STEP)
-        source._handles[key] = template
-    return template
+    """A new handle at level m, built at m + 3 and refined by refine_to's
+    search for width = (num, den)."""
+    handle = ApproximationError(source, m)
+    handle._settle(*width, _STEP)
+    return handle
 
 
 def _level(source: PartialQuotientSource, t: int) -> int:
@@ -238,17 +197,15 @@ def psi_at(
 ) -> ApproximationError:
     """Staircase value at integer t as a refinable exact bracket.
 
-    A fresh handle, as level_handle's after refine_to(target_width).  The
-    source keeps one such handle, settled, per (m,
-    target_width.as_integer_ratio()), and each call returns a copy of it
-    with its own depth and label; a search that raises stores nothing.
-    A target_width <= 0 raises ValueError before the source is read.
+    A fresh handle, as level_handle's after refine_to(target_width), with
+    its own depth and label.  A target_width <= 0 raises ValueError before
+    the source is read.
 
-    The source's level cursor remembers the last level served: a call
-    with the same target_width object and q_m <= t < q_{m+1} copies that
-    level's template at once, with no width test, level search or memo
-    lookup.  Every other call takes the full path and then moves the
-    cursor, so it never holds more than one template.
+    The source's level cursor holds the last level served and its settled
+    template: a call with the same target_width object and q_m <= t <
+    q_{m+1} copies the template at once, with no width test, level search
+    or refinement.  Every other call settles a new template and then moves
+    the cursor to it; a call that raises leaves the cursor where it was.
     """
     width, q_lo, q_hi, template = source._cursor
     if width is target_width and q_lo <= t < q_hi:
@@ -270,8 +227,8 @@ def psi_left_limit(
     """Value held just before the jump at t, i.e. the previous level.
 
     t must be a convergent denominator q_m with m >= 2; anything else is
-    NotAJumpPoint.  The handle is a copy of the source's settled one, as
-    in psi_at.
+    NotAJumpPoint.  The handle is settled as in psi_at, but on every call:
+    the cursor is neither read nor moved.
     """
     width = _width_ratio(target_width)
     if t < 2:
@@ -279,26 +236,9 @@ def psi_left_limit(
     m = source.seek(t)
     if source.state(m).q != t or m < 2:
         raise NotAJumpPoint(f"t={t} is not a denominator with index >= 2")
-    return _settled(source, m - 1, width)._copy(label)
-
-
-def perron_bracket(
-    source: PartialQuotientSource, m: int, depth: int = 12
-) -> RationalBracket:
-    """||q_m*alpha|| via the classical identity 1/(q_m*alpha_{m+1} + q_{m-1}).
-
-    Independent route from ApproximationError: uses a bracket of the tail
-    alpha_{m+1} rather than a bracket of alpha itself.  m >= 1.
-    """
-    if m < 1:
-        raise ValueError("the identity needs m >= 1")
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    state = source.state(m)
-    tail = cf_engine.tail_bracket(source, m + 1, depth)
-    denom_lo = state.q * tail.lo + state.q_prev
-    denom_hi = state.q * tail.hi + state.q_prev
-    return RationalBracket(1 / denom_hi, 1 / denom_lo)
+    handle = _settled(source, m - 1, width)
+    handle.label = label
+    return handle
 
 
 def strictly_below(a: ApproximationError, b: ApproximationError) -> bool:
@@ -312,48 +252,3 @@ def strictly_below(a: ApproximationError, b: ApproximationError) -> bool:
         return a.floor > b.ceil
     x, y = a.ends, b.ends
     return x.hi_num * y.lo_den < y.lo_num * x.hi_den
-
-
-def iter_brute_force_psi(
-    source: PartialQuotientSource,
-    t_max: int,
-    precision: Fraction = Fraction(1, 10**13),
-    cap: int = DEFAULT_ORACLE_CAP,
-):
-    """Yield (t, bracket) for t = 1..t_max by direct minimization.
-
-    Deliberately ignores the staircase structure: the running minimum of
-    ||q*alpha|| over q <= t is taken from a single deep bracket of alpha.
-    Serves as the independent oracle for psi_at.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if t_max > cap:
-        raise CapExceeded(f"brute force request t_max={t_max} exceeds cap={cap}")
-    depth = 8
-    alpha = cf_engine.bracket(source, depth)
-    while alpha.width * t_max > precision:
-        depth += 4
-        alpha = cf_engine.bracket(source, depth)
-    best_lo = None
-    best_hi = None
-    for q in range(1, t_max + 1):
-        d = nearest_integer_distance(alpha.scale(q))
-        if best_lo is None or d.lo < best_lo:
-            best_lo = d.lo
-        if best_hi is None or d.hi < best_hi:
-            best_hi = d.hi
-        yield q, RationalBracket(best_lo, best_hi)
-
-
-def brute_force_psi(
-    source: PartialQuotientSource,
-    t: int,
-    precision: Fraction = Fraction(1, 10**13),
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> RationalBracket:
-    """min over 1 <= q <= t of ||q*alpha||, computed the slow honest way."""
-    result = None
-    for _, br in iter_brute_force_psi(source, t, precision, cap):
-        result = br
-    return result

@@ -1,11 +1,27 @@
-"""Independent high-precision oracle used to freeze expected test values.
+"""Independent oracles used to check and freeze expected test values.
 
-Everything here is deliberately self-contained: plain integer recurrences
-for denominators and mpmath constants for the real numbers, sharing no
-code with the package under test.
+The high-precision oracle is deliberately self-contained: plain integer
+recurrences for denominators and mpmath constants for the real numbers,
+sharing no code with the package under test.
+
+The exact rational routes below it (brute-force minimization of ||q*alpha||,
+the Perron identity on a tail bracket) use only cf_engine's convergents and
+RationalBracket, never psi, so they stay independent of the production
+staircase kernel they check.
 """
 
+import math
+from fractions import Fraction
+
 from mpmath import mp, mpf
+
+from irrmeasure.cf_engine import (
+    PartialQuotientSource,
+    RationalBracket,
+    bracket,
+    initial_state,
+)
+from irrmeasure.errors import IrrMeasureError
 
 mp.dps = 240
 
@@ -143,3 +159,123 @@ def change_moments(members: list, t0: int, event_count: int):
             moments.append((t, vector, tuple(jumping)))
             current = vector
     return v0, moments, events[-1][0]
+
+
+# ------------------------------------------- exact rational routes for psi
+
+DEFAULT_ORACLE_CAP = 100_000
+
+
+class CapExceeded(IrrMeasureError):
+    """A brute-force request went past the configured work cap."""
+
+
+def fractional_distance(x: Fraction) -> Fraction:
+    """||x||: distance from an exact rational to the nearest integer."""
+    fr = x - math.floor(x)
+    return min(fr, 1 - fr)
+
+
+def nearest_integer_distance(interval: RationalBracket) -> RationalBracket:
+    """Enclosure of ||x|| over all x in the interval.
+
+    Exact case analysis: the minimum drops to 0 when the interval contains
+    an integer, the maximum caps at 1/2 when it contains a half-integer.
+    """
+    lo, hi = interval.lo, interval.hi
+    half = Fraction(1, 2)
+    if hi - lo >= 1:
+        return RationalBracket(Fraction(0), half)
+    d_lo, d_hi = fractional_distance(lo), fractional_distance(hi)
+    contains_integer = math.floor(hi) >= math.ceil(lo)
+    contains_half = math.floor(hi - half) >= math.ceil(lo - half)
+    out_lo = Fraction(0) if contains_integer else min(d_lo, d_hi)
+    out_hi = half if contains_half else max(d_lo, d_hi)
+    return RationalBracket(out_lo, out_hi)
+
+
+def tail_bracket(source: PartialQuotientSource, m: int, depth: int) -> RationalBracket:
+    """Bracket of the tail alpha_m = [a_m; a_{m+1}, ...].
+
+    depth counts how many quotients of the tail are consumed.  depth 1
+    falls back to the trivial enclosure [a_m, a_m + 1].
+    """
+    if m < 0:
+        raise ValueError("tail index must be >= 0")
+    if depth < 1:
+        raise ValueError("tail bracket needs depth >= 1")
+    a_m = source.term(m)
+    if depth == 1:
+        return RationalBracket(Fraction(a_m), Fraction(a_m + 1))
+    state = initial_state(a_m)
+    for i in range(1, depth):
+        state = state.advance(source.term(m + i))
+    lo_value = state.value
+    hi_value = Fraction(state.p_prev, state.q_prev)
+    if lo_value > hi_value:
+        lo_value, hi_value = hi_value, lo_value
+    return RationalBracket(lo_value, hi_value)
+
+
+def perron_bracket(
+    source: PartialQuotientSource, m: int, depth: int = 12
+) -> RationalBracket:
+    """||q_m*alpha|| via the classical identity 1/(q_m*alpha_{m+1} + q_{m-1}).
+
+    Independent route from ApproximationError: uses a bracket of the tail
+    alpha_{m+1} rather than a bracket of alpha itself.  m >= 1.
+    """
+    if m < 1:
+        raise ValueError("the identity needs m >= 1")
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+    state = source.state(m)
+    tail = tail_bracket(source, m + 1, depth)
+    denom_lo = state.q * tail.lo + state.q_prev
+    denom_hi = state.q * tail.hi + state.q_prev
+    return RationalBracket(1 / denom_hi, 1 / denom_lo)
+
+
+def iter_brute_force_psi(
+    source: PartialQuotientSource,
+    t_max: int,
+    precision: Fraction = Fraction(1, 10**13),
+    cap: int = DEFAULT_ORACLE_CAP,
+):
+    """Yield (t, bracket) for t = 1..t_max by direct minimization.
+
+    Deliberately ignores the staircase structure: the running minimum of
+    ||q*alpha|| over q <= t is taken from a single deep bracket of alpha.
+    Serves as the independent oracle for psi_at.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if t_max > cap:
+        raise CapExceeded(f"brute force request t_max={t_max} exceeds cap={cap}")
+    depth = 8
+    alpha = bracket(source, depth)
+    while alpha.width * t_max > precision:
+        depth += 4
+        alpha = bracket(source, depth)
+    best_lo = None
+    best_hi = None
+    for q in range(1, t_max + 1):
+        d = nearest_integer_distance(alpha.scale(q))
+        if best_lo is None or d.lo < best_lo:
+            best_lo = d.lo
+        if best_hi is None or d.hi < best_hi:
+            best_hi = d.hi
+        yield q, RationalBracket(best_lo, best_hi)
+
+
+def brute_force_psi(
+    source: PartialQuotientSource,
+    t: int,
+    precision: Fraction = Fraction(1, 10**13),
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> RationalBracket:
+    """min over 1 <= q <= t of ||q*alpha||, computed the slow honest way."""
+    result = None
+    for _, br in iter_brute_force_psi(source, t, precision, cap):
+        result = br
+    return result

@@ -15,6 +15,7 @@ from itertools import takewhile
 
 import pytest
 
+from _oracle import iter_brute_force_psi
 import pinned
 from irrmeasure import (
     ChangeMoment,
@@ -30,7 +31,6 @@ from irrmeasure import (
     cycle_decomposition,
     distinct_vectors,
     extremal_schedule,
-    iter_brute_force_psi,
     parse_source,
     pi_order,
     preimage,

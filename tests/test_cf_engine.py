@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 import _oracle as oracle
+from _oracle import tail_bracket
 from irrmeasure import (
     ExplicitSource,
     PeriodicSource,
@@ -16,7 +17,6 @@ from irrmeasure import (
     bracket,
     initial_state,
     parse_source,
-    tail_bracket,
 )
 
 PHI = "periodic:[1;|1]"

@@ -9,9 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import _oracle as oracle
+from _oracle import (
+    CapExceeded,
+    brute_force_psi,
+    iter_brute_force_psi,
+    nearest_integer_distance,
+    perron_bracket,
+)
 from irrmeasure import (
     ApproximationError,
-    CapExceeded,
     ComparisonUndecided,
     ExplicitSource,
     FunctionTuple,
@@ -21,9 +27,6 @@ from irrmeasure import (
     SeededSource,
     SourceExhausted,
     bracket,
-    brute_force_psi,
-    iter_brute_force_psi,
-    nearest_integer_distance,
     order_vector_at,
     parse_source,
     psi_at,
@@ -31,7 +34,7 @@ from irrmeasure import (
 )
 from irrmeasure import psi as psi_module
 from irrmeasure.order_dynamics import _by_ends, _certify
-from irrmeasure.psi import perron_bracket, strictly_below
+from irrmeasure.psi import strictly_below
 
 PHI = parse_source("periodic:[1;|1]")
 RT2 = parse_source("periodic:[1;|2]")
@@ -339,22 +342,6 @@ def test_bracket_memo_matches_fresh_sources(spec):
                 got.refine_to(width, step)
                 expected.refine_to(width, step)
                 assert (got.depth, integer_ends(got)) == (expected.depth, integer_ends(expected))
-    assert swept._brackets and swept._handles
-    for (m, depth), memo in swept._brackets.items():
-        err = ApproximationError(parse_source(spec), m)
-        if depth > err.depth:
-            err.refine(depth - err.depth)
-        assert err.depth == depth
-        assert err.bracket == memo.bracket
-    for (m, (num, den)), template in swept._handles.items():
-        err = ApproximationError(parse_source(spec), m)
-        err.refine_to(Fraction(num, den))
-        assert (template.m, template.depth, integer_ends(template), template.label) == (
-            m,
-            err.depth,
-            integer_ends(err),
-            None,
-        )
 
 
 def test_refining_a_handle_leaves_later_values_alone():
@@ -389,8 +376,8 @@ def test_a_sweep_builds_one_handle_per_level_and_width(monkeypatch):
     jump = 10946  # q_20 of phi, the only jump in the window
     widths = [Fraction(1, 10**24), Fraction(1, 2**80)]
     handles, keys = [], set()
-    for t in range(jump - 200, jump + 200):
-        for width in widths:
+    for width in widths:
+        for t in range(jump - 200, jump + 200):
             calls = [(psi_at, 19 + (t >= jump), f"t={t}")]
             if t == jump:
                 calls.append((psi_left_limit, 19, f"left of {t}"))
@@ -408,14 +395,14 @@ def test_a_sweep_builds_one_handle_per_level_and_width(monkeypatch):
                 handles.append(err)
                 keys.add((m, width.as_integer_ratio()))
     assert len(keys) == 4 and len(handles) == 802
-    assert Counted.built == len(keys)
-    assert set(source._handles) == keys
+    # the cursor settles one handle per level entered, the left limit its own
+    assert Counted.built == len(keys) + len(widths)
     assert len({id(err) for err in handles}) == len(handles)
-    assert not any(err is template for err in handles for template in source._handles.values())
+    assert not any(err is source._cursor[3] for err in handles)
     # refining a returned handle moves neither the template nor later values
     width = widths[0]
     held = psi_at(source, jump, width, "held")
-    template = source._handles[(held.m, width.as_integer_ratio())]
+    template = source._cursor[3]
     before = (template.depth, template.ends, template.label)
     held.refine(3)
     assert (template.depth, template.ends, template.label) == before
@@ -440,29 +427,22 @@ def test_exhausted_explicit_source_reports_its_end(warm, t, target_width):
     if warm:
         for s in range(1, 200):
             psi_at(source, s, target_width=Fraction(1))
-    settled = dict(source._handles)
-    # a search that ran out stores no handle, so it runs out again, and at
-    # the same index, without reading further
+    # a search that ran out runs out again, and at the same index, without
+    # reading further
     for _ in range(2):
         with pytest.raises(SourceExhausted) as info:
             psi_at(source, t, target_width=target_width)
         assert (info.value.index, info.value.available) == (9, 9)
         assert len(source._states) == 9 and len(source._terms) == 9
-        assert source._handles == settled
 
 
 def forbid_reads(source):
-    """Make any state read, or any read of the settled-handle memo, fail."""
-
-    class Unreadable(dict):
-        def get(self, *args):
-            raise AssertionError("settled-handle memo read")
+    """Make any state read fail."""
 
     def state(m):
         raise AssertionError(f"state {m} read")
 
     source.state = state
-    source._handles = Unreadable()
 
 
 @pytest.mark.parametrize("spec", ["periodic:[1;|1]", "explicit:[0;1,2,3,4,5,6,7,8]"])
@@ -486,21 +466,16 @@ def test_a_search_with_a_bad_step_stores_no_depth(monkeypatch):
     err = ApproximationError(parse_source("seeded:5:9"), 4)
     with pytest.raises(ValueError, match="refinement step"):
         err.refine_to(Fraction(1, 10**24), step=0)
-    assert err.source._handles == {} and err.depth == 7
+    assert err.depth == 7
     err.refine_to(Fraction(1, 10**24), step=4)
-    # a handle refined by its holder is never stored
-    assert err.source._handles == {}
-    # psi_at's own search, with its step forced below 1, stores nothing
+    # psi_at's own search, with its step forced below 1, raises too
     t = err.source.state(4).q
     monkeypatch.setattr(psi_module, "_STEP", 0)
     with pytest.raises(ValueError, match="refinement step"):
         psi_at(err.source, t, Fraction(1, 10**24))
-    assert err.source._handles == {}
     monkeypatch.undo()
     value = psi_at(err.source, t, Fraction(1, 10**24))
-    template = err.source._handles[(4, (1, 10**24))]
-    assert value is not template
-    assert (template.depth, template.ends) == (value.depth, value.ends) == (err.depth, err.ends)
+    assert (value.depth, integer_ends(value)) == (err.depth, integer_ends(err))
 
 
 # ------------------------------------------------------ the level cursor
@@ -569,7 +544,6 @@ def test_the_level_cursor_serves_what_a_fresh_source_serves(spec, calls):
         assert got == cursor_outcome(call, parse_source(spec), t, width, label)[1]
         if err is not None:
             assert not any(err is kept for kept in returned)
-            assert not any(err is template for template in source._handles.values())
             assert err is not source._cursor[3]
             returned.append(err)
 
@@ -665,8 +639,6 @@ def test_integer_ends_give_the_fraction_bracket(spec):
         err = ApproximationError(source, m)
         for _ in range(4):
             assert err.bracket == fraction_bracket(source, m, err.depth)
-            # one bracket per (m, depth), shared by every handle there
-            assert ApproximationError(source, m).bracket is ApproximationError(source, m).bracket
             err.refine(1)
 
 

@@ -64,8 +64,8 @@ def test_a_traced_sweep_counts_one_handle_per_level():
     finally:
         instrumentation.remove()
     assert (psi.psi_at, psi.ApproximationError, cli_io.format_decimal) == originals
-    # levels 19 and 20; the left limit at q_20 copies level 19's handle
-    assert figures["psi.handles_built"] == 2
+    # levels 19 and 20, and the left limit at q_20 settles its own handle
+    assert figures["psi.handles_built"] == 3
     assert figures["psi.values"] == 401
     assert calls["cli_io.format_decimal"] == 800
     assert set(figures) == set(tracing.METRICS)
