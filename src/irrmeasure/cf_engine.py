@@ -42,10 +42,6 @@ class ConvergentState:
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
 
-    def determinant(self) -> int:
-        # p_m * q_{m-1} - p_{m-1} * q_m, always (-1)^(m-1)
-        return self.p * self.q_prev - self.p_prev * self.q
-
 
 def initial_state(a0: int) -> ConvergentState:
     """State at m = 0: p_0/q_0 = a0/1 with virtual (p_{-1}, q_{-1}) = (1, 0)."""
@@ -66,21 +62,6 @@ class RationalBracket:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def encloses(self, other: "RationalBracket") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other: "RationalBracket") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
-
-    def strictly_below(self, other: "RationalBracket") -> bool:
-        """Certified: every value here is less than every value there."""
-        return self.hi < other.lo
-
-    def scale(self, c: int) -> "RationalBracket":
-        if c < 0:
-            raise ValueError("only nonnegative scaling is used")
-        return RationalBracket(self.lo * c, self.hi * c)
 
 
 class PartialQuotientSource:
@@ -118,6 +99,8 @@ class PartialQuotientSource:
 
     def state(self, m: int) -> ConvergentState:
         """Convergent state at index m, computed and cached on demand."""
+        if m < 0:
+            raise ValueError("state index must be >= 0")
         while len(self._states) <= m:
             k = len(self._states)
             if k == 0:

@@ -69,7 +69,3 @@ class InfeasibleSchedule(IrrMeasureError):
 
 class QuotientUnderflow(IrrMeasureError):
     """A derived partial quotient came out below 1."""
-
-
-class EnumerationInferenceFailed(IrrMeasureError):
-    """The starting order vector cannot be cast into triangular form."""

@@ -47,12 +47,6 @@ class FunctionTuple:
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.members)
 
-    def source(self, label: str) -> PartialQuotientSource:
-        for candidate, source in self.members:
-            if candidate == label:
-                return source
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -240,15 +234,6 @@ def order_vector_at(
     """
     handles = [level_handle(source, t, label) for label, source in ftuple.members]
     return _certify(handles, t, depth_limit)
-
-
-def tau_at(ftuple: FunctionTuple, t: int) -> int:
-    """Number of members for which t is a convergent denominator."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return sum(
-        1 for _, source in ftuple.members if source.state(source.seek(t)).q == t
-    )
 
 
 def clamp_start(ftuple: FunctionTuple, t0: int) -> int:

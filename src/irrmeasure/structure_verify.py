@@ -29,7 +29,6 @@ from . import order_dynamics, triangle_perm
 from .cf_engine import PartialQuotientSource
 from .errors import (
     ComparisonUndecided,
-    EnumerationInferenceFailed,
     HypothesisNotMet,
     PatternMismatch,
     UnknownLabel,
@@ -122,16 +121,6 @@ def _witness_doc(witness):
     return [str(w) if isinstance(w, int) else w for w in witness]
 
 
-def _infer_enumeration(v0, k):
-    n = triangle_perm.triangle_size(k)
-    if len(v0) != n:
-        raise EnumerationInferenceFailed(
-            f"vector length {len(v0)} is not the triangular size {n} for k={k}"
-        )
-    pairs = triangle_perm.canonical_pairs(k)
-    return {label: pairs[p] for p, label in enumerate(v0)}
-
-
 def _best_offset(jumping_sets, calendar):
     """Cyclic offset of the jump calendar that best fits the observations.
 
@@ -181,18 +170,18 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
         status = ItemStatus("fail", witness=(moments[0].t, "period smaller than k"))
     items["ii"] = status
 
-    enumeration = None
-    offset = None
-    try:
-        enumeration = _infer_enumeration(trace.v0, k)
-    except EnumerationInferenceFailed as exc:
-        warnings.warn(str(exc))
-        reason = f"enumeration inference failed: {exc}"
+    # iii..vi read each label's slot (j, l), so v0 must fill the triangle
+    size = triangle_perm.triangle_size(k)
+    if n != size:
+        message = f"vector length {n} is not the triangular size {size} for k={k}"
+        warnings.warn(message)
+        reason = f"enumeration inference failed: {message}"
         for key in ("iii", "iv", "v", "vi"):
             items[key] = ItemStatus("inconclusive", reason=reason)
         return VerificationReport(k, n, horizon, items)
 
-    pair_of = enumeration
+    pairs = triangle_perm.canonical_pairs(k)
+    pair_of = {label: pairs[p] for p, label in enumerate(trace.v0)}
     label_of = {pair: label for label, pair in pair_of.items()}
     # the labels expected to jump at residue c, for c = 1..k
     calendar = {
@@ -257,7 +246,7 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
         # here is a bug in this module, not in the trace
         assert items["ii"].passed, "cycle_step passed but periodicity failed"
 
-    return VerificationReport(k, n, horizon, items, enumeration, offset)
+    return VerificationReport(k, n, horizon, items, pair_of, offset)
 
 
 @dataclass(frozen=True)

@@ -369,15 +369,6 @@ class SynthesisResult:
             for label, terms in self.quotients.items()
         }
 
-    def member_events(self, label: str) -> list:
-        """(event_position, cf_index) for each event where label jumps."""
-        out = []
-        for position, certs in enumerate(self.certificates):
-            for cert in certs:
-                if cert.label == label:
-                    out.append((position, cert.cf_index))
-        return out
-
     def to_document(self) -> dict:
         return {
             "schedule": self.schedule.to_document(),

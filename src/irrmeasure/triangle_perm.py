@@ -15,6 +15,7 @@ pi has order k; its cycle structure depends only on the parity of k.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import IndexOutOfRange, LengthMismatch
@@ -52,23 +53,6 @@ def linear_index(k: int, j: int, l: int) -> int:
     return block_start + (k - l + 1)
 
 
-def inverse_index(k: int, position: int):
-    """Pair (j, l) sitting at the given 1-based position."""
-    _check_k(k)
-    n = triangle_size(k)
-    if not (1 <= position <= n):
-        raise IndexOutOfRange(f"position {position} outside 1..{n}")
-    j = 1
-    start = 1
-    while start + (k - j) < position:
-        start += k - j + 1
-        j += 1
-    offset = position - start
-    if offset == 0:
-        return (j, j)
-    return (j, k - offset + 1)
-
-
 def _source_pair(k: int, i: int, j: int):
     """Pair whose component moves into slot (i, j) under one application."""
     if i == j:
@@ -98,15 +82,8 @@ def apply_pi(k: int, vector):
 
 
 def pi_order(k: int) -> int:
-    """Smallest j >= 1 with pi^j = identity."""
-    n = triangle_size(k)
-    identity = tuple(range(n))
-    current = apply_pi(k, identity)
-    order = 1
-    while current != identity:
-        current = apply_pi(k, current)
-        order += 1
-    return order
+    """Smallest j >= 1 with pi^j = identity: the lcm of the cycle lengths."""
+    return math.lcm(*map(len, cycle_decomposition(k)))
 
 
 def cycle_decomposition(k: int) -> list:
@@ -134,19 +111,6 @@ def cycle_decomposition(k: int) -> list:
             p = inverse[p]
         cycles.append(cycle)
     return cycles
-
-
-def canonical_predecessor(k: int) -> list:
-    """The pair vector w with apply_pi(k, w) equal to canonical_pairs(k).
-
-    Its displayed shape: the (., k) column read from (k, k) up to (1, k),
-    followed by the canonical linearization of the size k-1 subtriangle.
-    """
-    if k < 2:
-        raise IndexOutOfRange("predecessor needs k >= 2")
-    column = [(j, k) for j in range(k, 0, -1)]
-    rest = canonical_pairs(k - 1)
-    return column + rest
 
 
 def render_diagram(k: int, vector=None) -> str:

@@ -8,6 +8,11 @@ The exact rational routes below it (brute-force minimization of ||q*alpha||,
 the Perron identity on a tail bracket) use only cf_engine's convergents and
 RationalBracket, never psi, so they stay independent of the production
 staircase kernel they check.
+
+The helpers at the end are the package's former test-only members: bracket
+set relations and scaling, the convergent determinant, inverse pair
+indexing, pi's canonical predecessor, the jump count tau and a member's
+event positions in a synthesis.  They too never touch psi.
 """
 
 import math
@@ -21,7 +26,8 @@ from irrmeasure.cf_engine import (
     bracket,
     initial_state,
 )
-from irrmeasure.errors import IrrMeasureError
+from irrmeasure.errors import IndexOutOfRange, IrrMeasureError
+from irrmeasure.triangle_perm import canonical_pairs, triangle_size
 
 mp.dps = 240
 
@@ -260,7 +266,7 @@ def iter_brute_force_psi(
     best_lo = None
     best_hi = None
     for q in range(1, t_max + 1):
-        d = nearest_integer_distance(alpha.scale(q))
+        d = nearest_integer_distance(scale(alpha, q))
         if best_lo is None or d.lo < best_lo:
             best_lo = d.lo
         if best_hi is None or d.hi < best_hi:
@@ -279,3 +285,78 @@ def brute_force_psi(
     for _, br in iter_brute_force_psi(source, t, precision, cap):
         result = br
     return result
+
+
+# ------------------------------------------------------ test-only helpers
+
+
+def encloses(outer: RationalBracket, inner: RationalBracket) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def intersects(a: RationalBracket, b: RationalBracket) -> bool:
+    return not (a.hi < b.lo or b.hi < a.lo)
+
+
+def strictly_below(a: RationalBracket, b: RationalBracket) -> bool:
+    """Certified: every value in a is less than every value in b."""
+    return a.hi < b.lo
+
+
+def scale(interval: RationalBracket, c: int) -> RationalBracket:
+    if c < 0:
+        raise ValueError("only nonnegative scaling is used")
+    return RationalBracket(interval.lo * c, interval.hi * c)
+
+
+def determinant(state) -> int:
+    # p_m * q_{m-1} - p_{m-1} * q_m, always (-1)^(m-1)
+    return state.p * state.q_prev - state.p_prev * state.q
+
+
+def inverse_index(k: int, position: int):
+    """Pair (j, l) sitting at the given 1-based position."""
+    n = triangle_size(k)
+    if not (1 <= position <= n):
+        raise IndexOutOfRange(f"position {position} outside 1..{n}")
+    j = 1
+    start = 1
+    while start + (k - j) < position:
+        start += k - j + 1
+        j += 1
+    offset = position - start
+    if offset == 0:
+        return (j, j)
+    return (j, k - offset + 1)
+
+
+def canonical_predecessor(k: int) -> list:
+    """The pair vector w with apply_pi(k, w) equal to canonical_pairs(k).
+
+    Its displayed shape: the (., k) column read from (k, k) up to (1, k),
+    followed by the canonical linearization of the size k-1 subtriangle.
+    """
+    if k < 2:
+        raise IndexOutOfRange("predecessor needs k >= 2")
+    column = [(j, k) for j in range(k, 0, -1)]
+    rest = canonical_pairs(k - 1)
+    return column + rest
+
+
+def tau_at(ftuple, t: int) -> int:
+    """Number of members for which t is a convergent denominator."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return sum(
+        1 for _, source in ftuple.members if source.state(source.seek(t)).q == t
+    )
+
+
+def member_events(result, label: str) -> list:
+    """(event_position, cf_index) for each event where label jumps."""
+    out = []
+    for position, certs in enumerate(result.certificates):
+        for cert in certs:
+            if cert.label == label:
+                out.append((position, cert.cf_index))
+    return out

@@ -15,36 +15,35 @@ from itertools import takewhile
 
 import pytest
 
-from _oracle import iter_brute_force_psi
+from _oracle import canonical_predecessor, iter_brute_force_psi
 import pinned
-from irrmeasure import (
+from irrmeasure import order_dynamics
+from irrmeasure.cf_engine import parse_source
+from irrmeasure.cli_io import main as cli_main
+from irrmeasure.errors import HypothesisNotMet
+from irrmeasure.order_dynamics import (
     ChangeMoment,
     ChangeTrace,
     FunctionTuple,
-    HypothesisNotMet,
-    JumpSchedule,
-    apply_pi,
-    canonical_pairs,
     change_trace,
+)
+from irrmeasure.psi import psi_at
+from irrmeasure.structure_verify import (
     check_prejump_reversal,
     check_triple_coincidence,
-    cycle_decomposition,
-    distinct_vectors,
-    extremal_schedule,
-    parse_source,
-    pi_order,
     preimage,
     project,
-    psi_at,
-    replay_check,
     sign_changes,
-    synthesize,
-    triangle_size,
     verify_structure,
 )
-from irrmeasure import order_dynamics
-from irrmeasure.cli_io import main as cli_main
-from irrmeasure.triangle_perm import canonical_predecessor
+from irrmeasure.synth import JumpSchedule, extremal_schedule, replay_check, synthesize
+from irrmeasure.triangle_perm import (
+    apply_pi,
+    canonical_pairs,
+    cycle_decomposition,
+    pi_order,
+    triangle_size,
+)
 
 PHI = "periodic:[1;|1]"
 RT2 = "periodic:[1;|2]"

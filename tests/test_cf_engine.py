@@ -7,17 +7,16 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 import _oracle as oracle
-from _oracle import tail_bracket
-from irrmeasure import (
+from _oracle import determinant, encloses, tail_bracket
+from irrmeasure.cf_engine import (
     ExplicitSource,
     PeriodicSource,
-    RuleSource,
     SeededSource,
-    SourceExhausted,
     bracket,
     initial_state,
     parse_source,
 )
+from irrmeasure.errors import SourceExhausted
 
 PHI = "periodic:[1;|1]"
 RT2 = "periodic:[1;|2]"
@@ -52,7 +51,7 @@ def test_determinant_identity_deep(spec):
     source = parse_source(spec)
     for m in range(1, 501):
         state = source.state(m)
-        assert state.determinant() == (-1) ** (m - 1)
+        assert determinant(state) == (-1) ** (m - 1)
         # q strictly increases once past the possible q_0 = q_1 tie
         if m >= 2:
             assert state.q > state.q_prev
@@ -83,7 +82,7 @@ def test_bracket_nesting(spec):
     for depth in range(2, 12):
         outer = bracket(source, depth)
         inner = bracket(source, depth + 1)
-        assert outer.encloses(inner)
+        assert encloses(outer, inner)
         assert inner.width < outer.width
 
 
@@ -160,6 +159,16 @@ def test_explicit_source_exhaustion():
     with pytest.raises(SourceExhausted) as info:
         source.term(3)
     assert info.value.index == 3
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_state_refuses_a_negative_index(warm):
+    # a warm source once served state(-1) from the end of its cache
+    source = parse_source(PHI)
+    if warm:
+        source.state(5)
+    with pytest.raises(ValueError, match="state index must be >= 0"):
+        source.state(-1)
 
 
 def test_explicit_rejects_bad_terms():

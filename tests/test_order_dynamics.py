@@ -7,27 +7,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pinned
-from irrmeasure import (
-    ApproximationError,
+import _oracle as oracle
+from _oracle import tau_at
+from irrmeasure import order_dynamics
+from irrmeasure.cf_engine import parse_source
+from irrmeasure.errors import ComparisonUndecided, HypothesisNotMet
+from irrmeasure.order_dynamics import (
+    ChangeMoment,
     ChangeTrace,
-    ComparisonUndecided,
     FunctionTuple,
-    HypothesisNotMet,
-    JumpSchedule,
     build_events,
     change_trace,
-    check_prejump_reversal,
     clamp_start,
     distinct_vectors,
-    extremal_schedule,
+    iter_events,
     order_vector_at,
-    parse_source,
-    sign_changes,
-    synthesize,
     tuple_from_header,
 )
-from irrmeasure import order_dynamics
-from irrmeasure.order_dynamics import ChangeMoment, iter_events, tau_at
+from irrmeasure.psi import ApproximationError
+from irrmeasure.structure_verify import check_prejump_reversal, sign_changes
+from irrmeasure.synth import JumpSchedule, extremal_schedule, synthesize
 
 
 def pair():
@@ -310,7 +309,7 @@ def certify_by_fractions(handles, t, depth_limit):
         overlapping = [
             i
             for i in range(len(handles) - 1)
-            if not handles[i + 1].bracket.strictly_below(handles[i].bracket)
+            if not oracle.strictly_below(handles[i + 1].bracket, handles[i].bracket)
         ]
         if not overlapping:
             return tuple(e.label for e in handles)

@@ -12,29 +12,25 @@ import _oracle as oracle
 from _oracle import (
     CapExceeded,
     brute_force_psi,
+    encloses,
+    intersects,
     iter_brute_force_psi,
     nearest_integer_distance,
     perron_bracket,
+    scale,
 )
-from irrmeasure import (
-    ApproximationError,
-    ComparisonUndecided,
+from irrmeasure import psi as psi_module
+from irrmeasure.cf_engine import (
     ExplicitSource,
-    FunctionTuple,
-    NotAJumpPoint,
     PeriodicSource,
     RationalBracket,
     SeededSource,
-    SourceExhausted,
     bracket,
-    order_vector_at,
     parse_source,
-    psi_at,
-    psi_left_limit,
 )
-from irrmeasure import psi as psi_module
-from irrmeasure.order_dynamics import _by_ends, _certify
-from irrmeasure.psi import strictly_below
+from irrmeasure.errors import ComparisonUndecided, NotAJumpPoint, SourceExhausted
+from irrmeasure.order_dynamics import FunctionTuple, _by_ends, _certify, order_vector_at
+from irrmeasure.psi import ApproximationError, psi_at, psi_left_limit, strictly_below
 
 PHI = parse_source("periodic:[1;|1]")
 RT2 = parse_source("periodic:[1;|2]")
@@ -130,7 +126,7 @@ def test_perron_overlaps_direct_value(source):
         direct = psi_at(source, q)
         assert direct.m >= m  # q_0 = q_1 collapses to the later index
         via_tail = perron_bracket(source, direct.m)
-        assert via_tail.intersects(direct.bracket)
+        assert intersects(via_tail, direct.bracket)
 
 
 # an order vector lists the larger value first
@@ -181,7 +177,7 @@ def test_brute_force_cap():
 def test_brute_sweep_overlaps_psi_at(source):
     for t, b in iter_brute_force_psi(source, 60):
         err = psi_at(source, t, target_width=Fraction(1, 10**14))
-        assert b.intersects(err.bracket)
+        assert intersects(b, err.bracket)
         assert b.width <= Fraction(2, 10**13)
 
 
@@ -191,7 +187,7 @@ def test_level_zero_with_unit_first_quotient_against_brute_force():
     err = ApproximationError(PHI, 0)
     err.refine_to(Fraction(1, 10**30))
     assert err.bracket.width <= Fraction(1, 10**30)
-    assert brute_force_psi(PHI, 1).encloses(err.bracket)
+    assert encloses(brute_force_psi(PHI, 1), err.bracket)
     assert contains(err.bracket, 2 - oracle.phi_value())
 
 
@@ -300,7 +296,7 @@ def test_refine_to_matches_the_fraction_width_loop(make_source, m, target, step)
         # the final bracket is the Fraction enclosure of ||q_m * alpha||
         source = make_source()
         q = source.state(m).q
-        assert got[1] == nearest_integer_distance(bracket(source, got[0]).scale(q))
+        assert got[1] == nearest_integer_distance(scale(bracket(source, got[0]), q))
 
 
 def test_refine_to_starts_at_level_zero_with_unit_first_quotient():
@@ -800,7 +796,7 @@ def test_first_order_verdicts_agree_with_the_cross_products(specs, levels, extra
         cross = x.ends.hi_num * y.ends.lo_den < y.ends.lo_num * x.ends.hi_den
         if x.floor > y.ceil:
             assert cross
-        assert strictly_below(x, y) == cross == x.bracket.strictly_below(y.bracket)
+        assert strictly_below(x, y) == cross == oracle.strictly_below(x.bracket, y.bracket)
     key_a, key_b = (a.bracket.lo, a.bracket.hi), (b.bracket.lo, b.bracket.hi)
     assert sign(_by_ends(a, b)) == (key_a > key_b) - (key_a < key_b)
     assert sign(_by_ends(b, a)) == (key_b > key_a) - (key_b < key_a)

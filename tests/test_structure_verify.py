@@ -6,27 +6,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from irrmeasure import (
-    ChangeMoment,
-    ChangeTrace,
-    ExplicitSource,
-    FunctionTuple,
-    HypothesisNotMet,
-    JumpSchedule,
-    PatternMismatch,
-    UnknownLabel,
-    apply_pi,
+from irrmeasure.cf_engine import ExplicitSource, parse_source
+from irrmeasure.errors import HypothesisNotMet, PatternMismatch, UnknownLabel
+from irrmeasure.order_dynamics import ChangeMoment, ChangeTrace, FunctionTuple
+from irrmeasure.structure_verify import (
     bound_check,
-    canonical_pairs,
     check_prejump_reversal,
     check_triple_coincidence,
-    parse_source,
     preimage,
     project,
     sign_changes,
-    synthesize,
     verify_structure,
 )
+from irrmeasure.synth import JumpSchedule, synthesize
+from irrmeasure.triangle_perm import apply_pi, canonical_pairs
 
 PHI = "periodic:[1;|1]"
 RT2 = "periodic:[1;|2]"
@@ -170,7 +163,7 @@ def test_short_trace_rejected():
 
 def test_wrong_size_tuple_is_inconclusive():
     trace = pair_trace = None
-    from irrmeasure import change_trace
+    from irrmeasure.order_dynamics import change_trace
 
     pair_trace = change_trace(pair(), 2, 8)
     with pytest.warns(UserWarning):
@@ -339,6 +332,13 @@ def test_triple_coincidence_rejects_wrong_indices():
     with pytest.raises(PatternMismatch):
         check_triple_coincidence(
             sources["A"], sources["B"], sources["C"], m + 1, s, l
+        )
+
+
+def test_triple_coincidence_refuses_negative_indices():
+    with pytest.raises(ValueError, match="state index must be >= 0"):
+        check_triple_coincidence(
+            parse_source(PHI), parse_source(RT2), parse_source("rule:e"), -1, -1, -1
         )
 
 

@@ -2,18 +2,18 @@
 
 import pytest
 
-from irrmeasure import (
-    IndexOutOfRange,
-    LengthMismatch,
+from _oracle import canonical_predecessor, inverse_index
+from irrmeasure.errors import IndexOutOfRange, LengthMismatch
+from irrmeasure.triangle_perm import (
     apply_pi,
     canonical_pairs,
     cycle_decomposition,
     linear_index,
     pi_order,
+    position_permutation,
     render_diagram,
     triangle_size,
 )
-from irrmeasure.triangle_perm import canonical_predecessor, inverse_index, position_permutation
 
 
 def test_canonical_pairs_k5():
