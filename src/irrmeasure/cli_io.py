@@ -20,7 +20,8 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -118,9 +119,10 @@ def _rows_json(rows, newline: str) -> str | None:
     """JSON text of a list of same-keyed rows, written column by column.
 
     The shape served: every item a dict (not a subclass) with the same
-    non-empty set of str keys, and every column holding only str or only
-    int values.  Each column is encoded by one C-level map and every row
-    fills one %-template, so no Python code runs per value.  Any other
+    non-empty set of str keys, and every column holding only str, only
+    int, or only lists (not subclasses) of str values, such as a trace's
+    "v" and "jumping".  Each column is encoded by C-level maps and every
+    row fills one %-template, so no Python code runs per value.  Any other
     shape, and an int past the interpreter's digit limit, returns None:
     the recursive writer then writes the list or raises its TypeError or
     ValueError at the first offending value in document order.
@@ -138,18 +140,28 @@ def _rows_json(rows, newline: str) -> str | None:
             return None
         leaf = set(map(type, column))
         if leaf == {str}:
-            encode = encode_basestring_ascii
+            columns.append(list(map(encode_basestring_ascii, column)))
         elif leaf == {int}:
-            encode = int.__repr__
+            try:
+                columns.append(list(map(int.__repr__, column)))
+            except ValueError:
+                return None
+        elif leaf == {list} and set(map(type, chain.from_iterable(column))) <= {str}:
+            columns.append(_str_lists(column, newline + "    "))
         else:
-            return None
-        try:
-            columns.append(list(map(encode, column)))
-        except ValueError:
             return None
     inner = newline + "  "
     lines = map(_row_template(keys, inner).__mod__, zip(*columns))
     return "[" + inner + ("," + inner).join(lines) + newline + "]"
+
+
+def _str_lists(column: list, newline: str) -> list:
+    """JSON text of each list of str in column, as a row's value at this
+    indent: one join of C-level encodings per list, "[]" when empty."""
+    inner = newline + "  "
+    joined = map(("," + inner).join, map(partial(map, encode_basestring_ascii), column))
+    template = "[" + inner + "%s" + newline + "]"
+    return [template % text if text else "[]" for text in joined]
 
 
 @lru_cache(maxsize=32)

@@ -12,7 +12,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from itertools import islice
+from itertools import groupby, islice, repeat
 
 from .cf_engine import PartialQuotientSource, SeededSource, parse_source
 from .errors import ComparisonUndecided
@@ -127,9 +127,9 @@ def _labels(value, what: str) -> tuple:
     """A JSON list of string labels, as a tuple."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, not {type(value).__name__}")
-    for label in value:
-        if not isinstance(label, str):
-            raise ValueError(f"trace label {label!r} is not a string")
+    if not all(map(isinstance, value, repeat(str))):
+        label = next(label for label in value if not isinstance(label, str))
+        raise ValueError(f"trace label {label!r} is not a string")
     return tuple(value)
 
 
@@ -191,6 +191,48 @@ def _by_ends(x, y) -> int:
     )
 
 
+def _key(handle) -> float:
+    """The handle's lo as a float, computed with hi's on the first sort of
+    its ends and then kept on them."""
+    ends = handle.ends
+    if ends.lo_key is None:
+        ends.lo_key = ends.lo_num / ends.lo_den
+        ends.hi_key = ends.hi_num / ends.hi_den
+    return ends.lo_key
+
+
+def _sort_and_test(handles: list) -> list:
+    """Sort stably into descending (lo, hi) and return the indices i whose
+    adjacent pair (i, i + 1) is not certified apart (see _certify)."""
+    if len(handles) < 3:
+        handles.sort(key=cmp_to_key(_by_ends), reverse=True)
+        return [
+            i for i in range(len(handles) - 1) if not strictly_below(handles[i + 1], handles[i])
+        ]
+    handles.sort(key=_key, reverse=True)
+    ends = [e.ends for e in handles]
+    if len({x.lo_key for x in ends}) < len(ends):
+        handles[:] = [
+            e
+            for _, run in groupby(handles, _key)
+            for e in sorted(run, key=cmp_to_key(_by_ends), reverse=True)
+        ]
+        ends = [e.ends for e in handles]
+    return [
+        i
+        for i in range(len(ends) - 1)
+        if not (
+            ends[i + 1].hi_key < ends[i].lo_key or strictly_below(handles[i + 1], handles[i])
+        )
+    ]
+
+
+def _check_depth_limit(depth_limit: int) -> None:
+    """Refuse a negative refinement budget with ValueError."""
+    if depth_limit < 0:
+        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+
+
 def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     """Sort the handles into strictly decreasing value and return the labels.
 
@@ -202,17 +244,23 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     in with; when it is reached, the first overlapping pair is reported
     undecided.  Every certification runs here, so this is where a negative
     depth_limit is refused.
+
+    With three or more handles the sort reads float keys: lo and hi rounded
+    to the nearest float, computed once per bracket ends.  CPython divides
+    int by int with correct rounding, so a key never decreases as the exact
+    value grows.  Distinct keys therefore order the handles as their exact
+    lo do, and only a run of equal keys is re-sorted with _by_ends, which
+    gives the same stable order as sorting all of them with it.  For the
+    same reason hi_key(lower) < lo_key(upper) certifies a pair without a
+    cross-product; any other pair goes to strictly_below.  Values below
+    2**-1074, as in extremal windows, all round to 0.0, so they form one tie
+    run and take the exact path.  Two handles take one _by_ends and one
+    strictly_below call, cheaper than dividing their ends.
     """
-    if depth_limit < 0:
-        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+    _check_depth_limit(depth_limit)
     rounds = 0
     while True:
-        handles.sort(key=cmp_to_key(_by_ends), reverse=True)
-        overlapping = [
-            i
-            for i in range(len(handles) - 1)
-            if not strictly_below(handles[i + 1], handles[i])
-        ]
+        overlapping = _sort_and_test(handles)
         if not overlapping:
             return tuple(e.label for e in handles)
         if rounds >= depth_limit:

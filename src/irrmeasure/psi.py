@@ -26,14 +26,20 @@ class _BracketEnds:
     (see strictly_below); the RationalBracket of the two Fractions is built
     the first time .bracket is read and then kept here.  Copies of a handle
     share this object, so they share one lo and one hi Fraction too.
+
+    lo_key and hi_key are lo and hi as correctly rounded floats.  lo_key
+    is None, and hi_key unset, until order_dynamics._certify first sorts
+    three or more handles, one with these ends; psi_at and psi_left_limit
+    never compute them.
     """
 
-    __slots__ = ("lo_num", "lo_den", "hi_num", "hi_den", "_bracket")
+    __slots__ = ("lo_num", "lo_den", "hi_num", "hi_den", "_bracket", "lo_key", "hi_key")
 
     def __init__(self, lo_num: int, lo_den: int, hi_num: int, hi_den: int):
         self.lo_num, self.lo_den = lo_num, lo_den
         self.hi_num, self.hi_den = hi_num, hi_den
         self._bracket = None
+        self.lo_key = None
 
     @property
     def bracket(self) -> RationalBracket:
@@ -117,9 +123,29 @@ class ApproximationError:
         self.depth = depth
 
     def refine(self, extra: int = 1) -> None:
-        if extra < 1:
-            raise ValueError("refinement step must be >= 1")
-        self._move_to(self.depth + extra)
+        """Move the depth on by extra quotients.
+
+        One step, the call every certification round makes, is taken here:
+        K_D = a_D*K_{D-1} + K_{D-2} and q_D become the deeper end, and the
+        end K_{D-2} is dropped.  State D is read first unless it is cached,
+        so an explicit source runs out before the handle changes.  Longer
+        steps go through _move_to.
+        """
+        if extra != 1:
+            if extra < 1:
+                raise ValueError("refinement step must be >= 1")
+            self._move_to(self.depth + extra)
+            return
+        depth, e = self.depth, self.ends
+        source = self.source
+        states = source._states
+        deepest = states[depth] if len(states) > depth else source.state(depth)
+        a = source._terms[depth]
+        if (depth - self._n) % 2:  # lo is K_{D-1} and stays; K_D is the new hi
+            self.ends = _BracketEnds(e.lo_num, e.lo_den, a * e.lo_num + e.hi_num, deepest.q)
+        else:  # hi is K_{D-1} and stays; K_D is the new lo
+            self.ends = _BracketEnds(a * e.hi_num + e.lo_num, deepest.q, e.hi_num, e.hi_den)
+        self.depth = depth + 1
 
     def refine_to(self, target_width: Fraction, step: int = _STEP) -> None:
         """Step the depth by `step` until the width is at most target_width.

@@ -22,6 +22,7 @@ three staircases, and the counting bound for distinct vectors.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -126,13 +127,18 @@ def _best_offset(jumping_sets, calendar):
 
     Ties go to the smallest offset.  A jumping label outside the
     enumeration is a mismatch at every offset, so it changes no choice.
+    Moments are counted by (index mod k, jumping set), so each offset
+    costs one set difference per distinct pair, not per moment.
     """
     k = len(calendar)
+    counts = Counter(
+        (index % k, frozenset(jumping)) for index, jumping in enumerate(jumping_sets)
+    )
 
     def mismatches(offset):
         return sum(
-            len(calendar[(index - 1 + offset) % k + 1] ^ jumping)
-            for index, jumping in enumerate(jumping_sets, start=1)
+            count * len(calendar[(residue + offset) % k + 1] ^ jumping)
+            for (residue, jumping), count in counts.items()
         )
 
     return min(range(k), key=mismatches)
@@ -196,6 +202,8 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
     for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
         expected_set = calendar[(index - 1 + offset) % k + 1]
         mismatched = expected_set ^ jumping
+        if not mismatched:
+            continue
         for label, pair in pair_of.items():
             if label not in mismatched:
                 continue
@@ -286,10 +294,11 @@ def check_prejump_reversal(
     just before the shared jump, it must be certified above just before
     its own previous jump.  Raises HypothesisNotMet if the window has no
     instance of the pattern, and ValueError, before any read, if events
-    is below 1.
+    is below 1 or depth_limit below 0.
     """
     if events < 1:
         raise ValueError(f"events must be >= 1, got {events}")
+    order_dynamics._check_depth_limit(depth_limit)
     pair = FunctionTuple.build([("a", alpha), ("b", beta)])
     horizon = None
     for index, event in enumerate(iter_events(pair, 0), start=1):
@@ -398,9 +407,11 @@ def sign_changes(
     this counts change moments from the clamped start.  As in change_trace,
     a member keeps its bracket between events, and depth_limit bounds the
     refinement rounds at each event counted from the depths it already has.
+    A negative depth_limit raises ValueError, whatever the horizon.
     """
     if ftuple.n != 2:
         raise ValueError("sign changes are defined for a pair")
+    order_dynamics._check_depth_limit(depth_limit)
     start = clamp_start(ftuple, 1)
     if horizon < start:
         return 0

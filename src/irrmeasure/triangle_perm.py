@@ -78,7 +78,7 @@ def apply_pi(k: int, vector):
     vector = tuple(vector)
     if len(vector) != n:
         raise LengthMismatch(f"vector length {len(vector)} != {n} for k={k}")
-    return tuple(vector[s] for s in _sigma(k))
+    return tuple(map(vector.__getitem__, _sigma(k)))
 
 
 def pi_order(k: int) -> int:

@@ -88,6 +88,10 @@ class Str(str):
     pass
 
 
+class List(list):
+    pass
+
+
 # each turns one row of a list of same-keyed rows into another shape;
 # the flag says whether canonical_json refuses the result (json.dumps
 # writes floats, canonical_json refuses them)
@@ -101,20 +105,28 @@ PERTURBATIONS = {
     "int subclass": (lambda row, key, spare: row.update({key: Int(7)}), False),
     "str subclass": (lambda row, key, spare: row.update({key: Str("x")}), False),
     "nested list": (lambda row, key, spare: row.update({key: [row[key]]}), False),
+    "int in a list": (lambda row, key, spare: row.update({key: ["x", 7]}), False),
+    "tuple for a list": (lambda row, key, spare: row.update({key: ("x",)}), False),
+    "list subclass": (lambda row, key, spare: row.update({key: List(["x"])}), False),
 }
+# a column of lists of str, such as a trace's "v" and "jumping"
+STR_LISTS = st.lists(TEXT, max_size=4)
 
 
 @st.composite
 def row_lists(draw):
     """(document, refused): 0-40 dicts over one key set, maybe one perturbed.
 
-    Each column draws its values from str, from int or from all scalars,
-    so most lists take canonical_json's column path.  Keys holding % and
-    %s check that the row templates escape them.
+    Each column draws its values from str, from int, from lists of str
+    (empty ones too) or from all scalars, so most lists take
+    canonical_json's column path.  Keys holding % and %s check that the
+    row templates escape them.
     """
     key = st.one_of(TEXT, st.sampled_from(["%", "%s", "a%sb"]))
     keys = draw(st.lists(key, max_size=5, unique=True))
-    leaves = {key: draw(st.sampled_from([TEXT, INTEGERS, SCALARS])) for key in keys}
+    leaves = {
+        key: draw(st.sampled_from([TEXT, INTEGERS, STR_LISTS, SCALARS])) for key in keys
+    }
     rows = draw(st.lists(st.fixed_dictionaries(leaves), max_size=40))
     refused = False
     perturbation = draw(st.one_of(st.none(), st.sampled_from(list(PERTURBATIONS))))
@@ -134,6 +146,11 @@ def row_lists(draw):
 @example(([{"a": 1, "b": "x"}, {"a": 2}], False))  # a later row lacks one
 @example(([{"a": 1}, {"a": True}, {"a": Int(2)}], False))
 @example(([{"%s": "x", "%": 1}], False))
+@example(([{"v": ["a", AWKWARD], "j": []}, {"v": [], "j": ["%s"]}], False))
+@example(([{"v": ["a"]}, {"v": ["b", 7]}], False))
+@example(([{"v": ["a"]}, {"v": ("b",)}], False))
+@example(([{"v": ["a"]}, {"v": List(["b"])}], False))
+@example(([{"v": ["a"]}, {"v": [Str("b")]}], False))
 def test_canonical_json_writes_row_lists_as_json_dumps(case):
     doc, refused = case
     if refused:

@@ -10,7 +10,7 @@ import pinned
 import _oracle as oracle
 from _oracle import tau_at
 from irrmeasure import order_dynamics
-from irrmeasure.cf_engine import parse_source
+from irrmeasure.cf_engine import ExplicitSource, parse_source
 from irrmeasure.errors import ComparisonUndecided, HypothesisNotMet
 from irrmeasure.order_dynamics import (
     ChangeMoment,
@@ -24,7 +24,7 @@ from irrmeasure.order_dynamics import (
     order_vector_at,
     tuple_from_header,
 )
-from irrmeasure.psi import ApproximationError
+from irrmeasure.psi import ApproximationError, level_handle
 from irrmeasure.structure_verify import check_prejump_reversal, sign_changes
 from irrmeasure.synth import JumpSchedule, extremal_schedule, synthesize
 
@@ -371,6 +371,56 @@ def test_integer_scan_matches_fraction_keys(specs, t, count, horizon, depth_limi
         patch.setattr(order_dynamics, "_certify", certify_by_fractions)
         expected = dynamics(specs, t, count, horizon, depth_limit)
     assert dynamics(specs, t, count, horizon, depth_limit) == expected
+
+
+def explicit_tuple(prefix, tails):
+    return FunctionTuple.build(
+        (f"x{i}", ExplicitSource(prefix + tail)) for i, tail in enumerate(tails)
+    )
+
+
+def keyed_outcomes(prefix, tails, t, count, depth_limit):
+    """order_vector_at and change_trace on fresh copies of one explicit tuple."""
+    return (
+        outcome(lambda: order_vector_at(explicit_tuple(prefix, tails), t, depth_limit)),
+        outcome(lambda: change_trace(explicit_tuple(prefix, tails), 2, count, depth_limit)),
+    )
+
+
+# four numbers sharing the quotients 0; 2 x 40: at small t their values
+# agree to about 2**-100 relatively, so their float keys tie while the
+# exact brackets separate
+SHARED_PREFIX = [0] + [2] * 40
+SHARED_TAILS = [[1 + (i * j + i) % 5 for j in range(40)] for i in range(4)]
+# a_3 = 2**1100 puts every value from t = 3 on below 2**-1100, so every
+# float key underflows to 0.0
+UNDERFLOW_PREFIX = [0, 1, 2, 2**1100]
+UNDERFLOW_TAILS = [[1 + (i * j + 2 * i) % 7 for j in range(60)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "prefix, tails, t, keys_tie",
+    [
+        (SHARED_PREFIX, SHARED_TAILS, 5, lambda a, b: a.lo_key == b.lo_key),
+        (SHARED_PREFIX, SHARED_TAILS, 29, lambda a, b: a.lo_key == b.lo_key),
+        (UNDERFLOW_PREFIX, UNDERFLOW_TAILS, 3, lambda a, b: a.lo_key == b.hi_key == 0.0),
+        (UNDERFLOW_PREFIX, UNDERFLOW_TAILS, 2**1120, lambda a, b: a.lo_key == b.hi_key == 0.0),
+    ],
+    ids=["shared-prefix-5", "shared-prefix-29", "underflow-3", "underflow-2^1120"],
+)
+@pytest.mark.parametrize("depth_limit", [0, 3, 64])
+def test_tied_float_keys_match_fraction_keys(prefix, tails, t, keys_tie, depth_limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(order_dynamics, "_certify", certify_by_fractions)
+        expected = keyed_outcomes(prefix, tails, t, 10, depth_limit)
+    assert keyed_outcomes(prefix, tails, t, 10, depth_limit) == expected
+    if depth_limit == 64:
+        # the certified order has distinct values whose keys tie
+        members = explicit_tuple(prefix, tails).members
+        handles = [level_handle(source, t, label) for label, source in members]
+        order_dynamics._certify(handles, t, depth_limit)
+        ends = [handle.ends for handle in handles]
+        assert all(keys_tie(a, b) for a, b in zip(ends, ends[1:]))
 
 
 def test_extremal_window_moments_are_pinned():

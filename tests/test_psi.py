@@ -736,6 +736,48 @@ def test_continuant_ends_match_the_product_formula(spec):
             assert integer_ends(again) == product_ends(twin, m, again.depth)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "periodic:[1;|1]",
+        "rule:e",
+        "seeded:5:9",
+        "explicit:[0;2," + ",".join(str(1 + (i * 7) % 11) for i in range(40)) + "]",
+    ],
+    ids=["phi", "rule-e", "seeded-5-9", "explicit"],
+)
+def test_one_step_refine_matches_two_step_refine(spec):
+    # refine(1) steps one continuant in place; refine(2) moves through
+    # _move_to.  Each reads its own twin of the source, so an explicit
+    # source runs out for both from its own reads.
+    source, twin = parse_source(spec), parse_source(spec)
+    ran_out = False
+    for m in range(30):
+        try:
+            one, two = ApproximationError(source, m), ApproximationError(twin, m)
+        except SourceExhausted:
+            break
+        for _ in range(12):
+            index = None
+            for _ in range(2):
+                before = one.depth, integer_ends(one)
+                try:
+                    one.refine(1)
+                except SourceExhausted as exc:
+                    assert (one.depth, integer_ends(one)) == before  # left unchanged
+                    index = exc.index
+                    break
+            if index is not None:
+                with pytest.raises(SourceExhausted) as exhausted:
+                    two.refine(2)
+                assert exhausted.value.index == index
+                ran_out = True
+                break
+            two.refine(2)
+            assert (one.depth, integer_ends(one)) == (two.depth, integer_ends(two))
+    assert ran_out == spec.startswith("explicit")
+
+
 EXPLICIT_SPECS = [
     "explicit:[0;1,2,3,4,5,6,7,8]",
     "explicit:[0;1]",

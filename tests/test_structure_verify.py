@@ -364,6 +364,24 @@ def test_sign_changes_small_windows():
     assert sign_changes(ft, 8) == 1
 
 
+@pytest.mark.parametrize("horizon", [1, 4, 10**4])
+def test_sign_changes_refuses_a_negative_depth_limit_before_any_read(horizon):
+    # horizons below and past the pair's clamped start, q_2 = 5
+    ft = pair()
+    with pytest.raises(ValueError, match=r"^depth_limit must be >= 0, got -1$"):
+        sign_changes(ft, horizon, depth_limit=-1)
+    assert all(source._terms == [] for _, source in ft.members)
+
+
+@pytest.mark.parametrize("events", [3, 100])
+def test_prejump_reversal_refuses_a_negative_depth_limit_before_any_read(events):
+    # 3 events hold no instance of the pattern, 100 events hold one
+    alpha, beta = parse_source(PHI), parse_source(RT2)
+    with pytest.raises(ValueError, match=r"^depth_limit must be >= 0, got -1$"):
+        check_prejump_reversal(alpha, beta, events=events, depth_limit=-1)
+    assert alpha._terms == [] and beta._terms == []
+
+
 def test_sign_changes_needs_pair():
     ft = FunctionTuple.build([("phi", parse_source(PHI))])
     with pytest.raises(ValueError):
