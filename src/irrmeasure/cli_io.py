@@ -246,12 +246,30 @@ def _decimal_text(x: Fraction, places: int, direction: str) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _places_for(hi: Fraction, minimum: int = 30) -> int:
+_PLACES = 30  # the fewest decimal places an end is printed with
+
+
+def _places_for(hi: Fraction) -> int:
     num, den = hi.as_integer_ratio()
-    places = minimum
+    places = _PLACES
     while num > 0 and num * 10**places < den:
         places += 10
     return places
+
+
+def _decimal_ends(handles):
+    """The (lo, hi) texts of each handle's bracket, rounded outward.
+
+    The t of one level share their hi, and so its places, which are
+    recomputed only when hi is not the last hi seen.
+    """
+    hi = None
+    for err in handles:
+        bracket = err.bracket
+        if bracket.hi is not hi:
+            hi = bracket.hi
+            places = _places_for(hi)
+        yield format_decimal(bracket.lo, places, "down"), format_decimal(hi, places, "up")
 
 
 # ---------------------------------------------------------------- config
@@ -292,19 +310,20 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+# each config-file key and how its value is read; horizon is only recorded
+_CONFIG_KEYS = dict(sources=shlex.split, t0=int, count=int, horizon=int, depth_limit=int, out=str)
+
+
 def merge_config(args: argparse.Namespace, file_values: dict) -> RunConfig:
+    unknown = [key for key in file_values if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     config = RunConfig()
-    if "sources" in file_values:
-        config.sources = shlex.split(file_values["sources"])
-    for key in ("t0", "count", "horizon", "depth_limit"):
+    for key, read in _CONFIG_KEYS.items():
         if key in file_values:
-            setattr(config, key, int(file_values[key]))
-    if "out" in file_values:
-        config.out = file_values["out"]
-    for key in ("sources", "t0", "count", "horizon", "depth_limit", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
+            setattr(config, key, read(file_values[key]))
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 
@@ -352,27 +371,13 @@ def cmd_psi(args) -> int:
         raise ValueError(f"--t-end must be >= --t, got {args.t_end} < {args.t}")
     source = parse_source(args.source)
     width = Fraction(1, 10**args.digits)
-    rows = []
     t_values = [args.t] if args.t_end is None else range(args.t, args.t_end + 1)
-    hi = None  # the t of one level share their hi, and so its places
-    for t in t_values:
-        err = (
-            psi_left_limit(source, t, target_width=width)
-            if args.left
-            else psi_at(source, t, target_width=width)
-        )
-        if err.bracket.hi is not hi:
-            hi = err.bracket.hi
-            places = _places_for(hi)
-        rows.append(
-            {
-                "t": str(t),
-                "m": err.m,
-                "q": str(err.q),
-                "lo": format_decimal(err.bracket.lo, places, "down"),
-                "hi": format_decimal(err.bracket.hi, places, "up"),
-            }
-        )
+    value = psi_left_limit if args.left else psi_at
+    handles = [value(source, t, target_width=width) for t in t_values]
+    rows = [
+        {"t": str(t), "m": err.m, "q": str(err.q), "lo": lo, "hi": hi}
+        for t, err, (lo, hi) in zip(t_values, handles, _decimal_ends(handles))
+    ]
     emit(canonical_json({"source": source.spec_string(), "values": rows}), args.out)
     return 0
 
@@ -455,26 +460,11 @@ def _sampled_points(event_times, tail: int | None):
     return points
 
 
-def staircase_rows(ftuple: FunctionTuple, t_points, digits: int = 30):
-    width = Fraction(1, 10**digits)
-    rows = []
-    hi = None  # the t of one level share their hi, and so its places
-    for label, source in ftuple.members:
-        for t, kind in t_points:
-            err = psi_at(source, t, target_width=width)
-            if err.bracket.hi is not hi:
-                hi = err.bracket.hi
-                places = _places_for(hi, minimum=digits)
-            rows.append(
-                (
-                    label,
-                    str(t),
-                    format_decimal(err.bracket.lo, places, "down"),
-                    format_decimal(err.bracket.hi, places, "up"),
-                    kind,
-                )
-            )
-    return rows
+def staircase_rows(ftuple: FunctionTuple, t_points):
+    width = Fraction(1, 10**_PLACES)
+    points = [(label, source, t, kind) for label, source in ftuple.members for t, kind in t_points]
+    ends = _decimal_ends(psi_at(source, t, target_width=width) for _, source, t, _ in points)
+    return [(label, str(t), lo, hi, kind) for (label, _, t, kind), (lo, hi) in zip(points, ends)]
 
 
 def export_staircase(subject, path: str | None, horizon: int | None = None) -> int:

@@ -9,14 +9,13 @@ rational brackets that can be refined on demand.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .cf_engine import PartialQuotientSource, RationalBracket
 from .errors import NotAJumpPoint
 
 DEFAULT_TARGET_WIDTH = Fraction(1, 2**80)
-_STEP = 4  # refine_to's default step, which psi_at and psi_left_limit use
+_STEP = 4  # quotients per step of refine_to's width search
 
 
 class _BracketEnds:
@@ -58,15 +57,15 @@ class ApproximationError:
     another's depth.
 
     At depth D the ends are K_d/q_d, d = D-2, D-1: ||x|| at convergents of
-    q_m*alpha.  With p_n nearest q_m*alpha (n = m, or n = 1 at m = 0 with
-    a_1 = 1), K_d = |q_m*p_d - p_n*q_d| is the tail continuant, stepped by
-    K_d = a_d*K_{d-1} + K_{d-2} from K_n = 0, K_{n+1} = 1; end d is the
-    lower one iff d - n is even.  For n = m, 1/||q_m*alpha|| = q_{m+1} +
-    q_m/alpha_{m+2} puts each end's reciprocal in [floor, ceil] =
-    [q_{m+1}, q_{m+1} + q_m]; n = 1 starts at the end 0: (0, inf).
+    q_m*alpha.  With p_m nearest q_m*alpha, K_d = |q_m*p_d - p_m*q_d| is the
+    tail continuant, stepped by K_d = a_d*K_{d-1} + K_{d-2} from K_m = 0,
+    K_{m+1} = 1; end d is the lower one iff d - m is even.  1/||q_m*alpha||
+    = q_{m+1} + q_m/alpha_{m+2} puts each end's reciprocal in [floor, ceil]
+    = [q_{m+1}, q_{m+1} + q_m].  Level 0 with q_0 = q_1 (a_1 = 1) is no
+    staircase level, so it raises ValueError.
     """
 
-    __slots__ = ("source", "m", "label", "q", "_n", "floor", "ceil", "depth", "ends")
+    __slots__ = ("source", "m", "label", "q", "floor", "ceil", "depth", "ends")
 
     def __init__(self, source: PartialQuotientSource, m: int, label: str | None = None):
         if m < 0:
@@ -76,12 +75,13 @@ class ApproximationError:
         self.label = label
         following = source.state(m + 1)
         self.q, q_next = following.q_prev, following.q
-        self._n = 1 if q_next == self.q else m
-        self.floor, self.ceil = (0, math.inf) if self._n != m else (q_next, q_next + self.q)
-        # the first depth whose ends d = m+1, m+2 are both past n = m, so
+        if q_next == self.q:
+            raise ValueError("level 0 is no staircase level when q_0 = q_1")
+        self.floor, self.ceil = q_next, q_next + self.q
+        # the first depth whose ends d = m+1, m+2 are both past m, so
         # nonzero; refine() moves on from here
         self.depth = m + 3
-        self.ends = self._ends_at(self.depth, self._n + 1, 0, 1)
+        self.ends = self._ends_at(self.depth, m + 1, 0, 1)
 
     @property
     def bracket(self) -> RationalBracket:
@@ -97,7 +97,6 @@ class ApproximationError:
         copy.m = self.m
         copy.label = label
         copy.q = self.q
-        copy._n = self._n
         copy.floor = self.floor
         copy.ceil = self.ceil
         copy.depth = self.depth
@@ -112,13 +111,13 @@ class ApproximationError:
         terms = self.source._terms
         for d in range(top + 1, depth):
             shallow, deep = deep, terms[d] * deep + shallow
-        if (depth - self._n) % 2:
+        if (depth - self.m) % 2:
             return _BracketEnds(deep, deepest.q, shallow, deepest.q_prev)
         return _BracketEnds(shallow, deepest.q_prev, deep, deepest.q)
 
     def _move_to(self, depth: int) -> None:
         e = self.ends  # (K_{D-2}, K_{D-1}) at D = self.depth, by the parity rule
-        pair = (e.hi_num, e.lo_num) if (self.depth - self._n) % 2 else (e.lo_num, e.hi_num)
+        pair = (e.hi_num, e.lo_num) if (self.depth - self.m) % 2 else (e.lo_num, e.hi_num)
         self.ends = self._ends_at(depth, self.depth - 1, *pair)
         self.depth = depth
 
@@ -141,33 +140,31 @@ class ApproximationError:
         states = source._states
         deepest = states[depth] if len(states) > depth else source.state(depth)
         a = source._terms[depth]
-        if (depth - self._n) % 2:  # lo is K_{D-1} and stays; K_D is the new hi
+        if (depth - self.m) % 2:  # lo is K_{D-1} and stays; K_D is the new hi
             self.ends = _BracketEnds(e.lo_num, e.lo_den, a * e.lo_num + e.hi_num, deepest.q)
         else:  # hi is K_{D-1} and stays; K_D is the new lo
             self.ends = _BracketEnds(a * e.hi_num + e.lo_num, deepest.q, e.hi_num, e.hi_den)
         self.depth = depth + 1
 
-    def refine_to(self, target_width: Fraction, step: int = _STEP) -> None:
-        """Step the depth by `step` until the width is at most target_width.
+    def refine_to(self, target_width: Fraction) -> None:
+        """Step the depth by _STEP until the width is at most target_width.
 
-        Both ends lie on the same side of p_n, so the width at depth D is
+        Both ends lie on the same side of p_m, so the width at depth D is
         q_m * |p_{D-1}/q_{D-1} - p_{D-2}/q_{D-2}|, which the determinant
         identity makes exactly q_m / (q_{D-1} * q_{D-2}).  The test is
         therefore an integer product; the ends are stepped once, to the
         final depth, and only if the depth moved.  A target_width that is
         not positive raises ValueError before anything is read.
         """
-        self._settle(*_width_ratio(target_width), step)
+        self._settle(*_width_ratio(target_width))
 
-    def _settle(self, num: int, den: int, step: int) -> None:
+    def _settle(self, num: int, den: int) -> None:
         """refine_to's search for a width num/den > 0."""
         scaled_q = self.q * den
         depth = self.depth
         deepest = self.source.state(depth - 1)
         while scaled_q > num * deepest.q * deepest.q_prev:
-            if step < 1:
-                raise ValueError("refinement step must be >= 1")
-            depth += step
+            depth += _STEP
             deepest = self.source.state(depth - 1)
         if depth != self.depth:
             self._move_to(depth)
@@ -190,7 +187,7 @@ def _settled(source: PartialQuotientSource, m: int, width: tuple[int, int]) -> A
     """A new handle at level m, built at m + 3 and refined by refine_to's
     search for width = (num, den)."""
     handle = ApproximationError(source, m)
-    handle._settle(*width, _STEP)
+    handle._settle(*width)
     return handle
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import islice, takewhile
 
 from . import order_dynamics, triangle_perm
 from .cf_engine import PartialQuotientSource
@@ -288,9 +288,10 @@ def check_prejump_reversal(
 ) -> PrejumpScanReport:
     """Scan a window for shared jumps and check the pre-jump order reversal.
 
-    Pattern: a denominator q_{m+1} of alpha (m >= 2) that is also a
-    denominator of beta, with beta's neighbors h_{s-1} <= q_m < h_s and
-    s >= 2.  Whenever the first staircase is certified below the second
+    The window is the first `events` events of the pair's merged stream; a
+    shared jump is one at which both members jump.  Pattern: a shared jump
+    at alpha's q_{m+1} (m >= 2), with beta's neighbors h_{s-1} <= q_m < h_s
+    and s >= 2.  Whenever the first staircase is certified below the second
     just before the shared jump, it must be certified above just before
     its own previous jump.  Raises HypothesisNotMet if the window has no
     instance of the pattern, and ValueError, before any read, if events
@@ -300,38 +301,32 @@ def check_prejump_reversal(
         raise ValueError(f"events must be >= 1, got {events}")
     order_dynamics._check_depth_limit(depth_limit)
     pair = FunctionTuple.build([("a", alpha), ("b", beta)])
-    horizon = None
-    for index, event in enumerate(iter_events(pair, 0), start=1):
-        if index == events:
-            horizon = event.t
-            break
-    if horizon is None:
-        raise ValueError("window has fewer events than requested")
+    shared = [e.t for e in islice(iter_events(pair, 0), events) if len(e.jumping) == 2]
     instances = []
     undecided = []
     violations = []
-    m = 2
-    while alpha.state(m + 1).q <= horizon:
+    for q_next in shared:
+        m = alpha.seek(q_next) - 1
+        if m < 2:
+            continue
         q_m = alpha.state(m).q
-        q_next = alpha.state(m + 1).q
-        if beta.state(beta.seek(q_next)).q == q_next:
-            # s is beta's first denominator index strictly above q_m
-            s = beta.seek(q_m + 1)
-            if s >= 2:
-                try:
-                    # the vector lists the larger value first: ("b", "a")
-                    # is psi_alpha < psi_beta
-                    vector = order_dynamics.order_vector_at(pair, q_next - 1, depth_limit)
-                    applied, ok = vector == ("b", "a"), None
-                    if applied:
-                        vector = order_dynamics.order_vector_at(pair, q_m - 1, depth_limit)
-                        ok = vector == ("a", "b")
-                        if not ok:
-                            violations.append((q_next, m, s))
-                    instances.append(ScanInstance(m, s, q_next, q_m, applied, ok))
-                except ComparisonUndecided as exc:
-                    undecided.append((q_next, str(exc)))
-        m += 1
+        # s is beta's first denominator index strictly above q_m
+        s = beta.seek(q_m + 1)
+        if s < 2:
+            continue
+        try:
+            # the vector lists the larger value first: ("b", "a") is
+            # psi_alpha < psi_beta
+            vector = order_dynamics.order_vector_at(pair, q_next - 1, depth_limit)
+            applied, ok = vector == ("b", "a"), None
+            if applied:
+                vector = order_dynamics.order_vector_at(pair, q_m - 1, depth_limit)
+                ok = vector == ("a", "b")
+                if not ok:
+                    violations.append((q_next, m, s))
+            instances.append(ScanInstance(m, s, q_next, q_m, applied, ok))
+        except ComparisonUndecided as exc:
+            undecided.append((q_next, str(exc)))
     if not instances and not undecided:
         raise HypothesisNotMet(
             f"no shared-jump pattern among the first {events} events"

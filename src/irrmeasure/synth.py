@@ -180,16 +180,30 @@ class _Divisors:
         return self.divmod(x, d)[1]
 
 
-def _crt_steps(pairs, divisors):
-    """merge_congruences' (r, M), and the digits of each of its steps.
+def merge_congruences(pairs, *, divisors=None, steps=None):
+    """Smallest representation (r, M) of a simultaneous congruence system.
 
-    Step j merges x = residue_j (mod q_j) into x = r (mod m), with
-    g_j = gcd(m, q_j) and step_j = q_j / g_j: its digit t_j in [0, step_j)
-    makes r_j = r + m t_j the solution modulo P_j = m step_j.  steps[j] is
-    (r_j, m / g_j, t_j, step_j).  Reductions modulo q_j go through divisors.
+    pairs holds (residue, modulus) entries; non-coprime moduli are merged
+    through their gcd g and the inverse of M/g modulo modulus/g.  Raises
+    InfeasibleSchedule on contradiction.
+
+    Each step tries pow(M mod modulus, -1, modulus) first.  It raises
+    ValueError exactly when g > 1; otherwise g = 1 and the inverse is the
+    one the gcd route takes, so (r, M) is the same.  Only then is g
+    computed and the conflict tested, against the same r and M, so the
+    message is the same too.  In
+    synthesize g > 1 takes prefix denominators sharing a factor, or one
+    modulus twice, since each event value is coprime to all owned ones.
+
+    synthesize passes its call-scoped _Divisors, and a list that receives
+    each step's digits: step j merges x = residue_j (mod q_j) into
+    x = r (mod m), with g_j = gcd(m, q_j) and step_j = q_j / g_j; its digit
+    t_j in [0, step_j) makes r_j = r + m t_j the solution modulo
+    P_j = m step_j, and steps[j] is (r_j, m / g_j, t_j, step_j).
     """
+    divisors = divisors or _Divisors()
+    steps = [] if steps is None else steps
     r, m = 0, 1
-    steps = []
     for residue, modulus in pairs:
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
@@ -210,25 +224,6 @@ def _crt_steps(pairs, divisors):
         r += m * digit
         m *= step
         steps.append((r, cofactor, digit, step))
-    return r, m, steps
-
-
-def merge_congruences(pairs):
-    """Smallest representation (r, M) of a simultaneous congruence system.
-
-    pairs holds (residue, modulus) entries; non-coprime moduli are merged
-    through their gcd g and the inverse of M/g modulo modulus/g.  Raises
-    InfeasibleSchedule on contradiction.
-
-    Each step tries pow(M mod modulus, -1, modulus) first.  It raises
-    ValueError exactly when g > 1; otherwise g = 1 and the inverse is the
-    one the gcd route takes, so (r, M) is the same.  Only then is g
-    computed and the conflict tested, against the same r and M, so the
-    message is the same too.  In
-    synthesize g > 1 takes prefix denominators sharing a factor, or one
-    modulus twice, since each event value is coprime to all owned ones.
-    """
-    r, m, _ = _crt_steps(pairs, _Divisors())
     return r, m
 
 
@@ -271,7 +266,8 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small, divisors)
     Returns Q, the merge's steps and u = (Q - r) / M for the merged (r, M),
     counted along the search rather than divided out.
     """
-    r, m, steps = _crt_steps(congruences, divisors)
+    steps = []
+    r, m = merge_congruences(congruences, divisors=divisors, steps=steps)
     u = 0
     if r < lower_bound:
         u = (lower_bound - r + m - 1) // m

@@ -69,6 +69,7 @@ def json_documents(depth):
 
 @settings(deadline=None)
 @given(json_documents(4))
+@example([{"a": 1}, {"b": 2}])  # rows of one size but not one key set
 def test_canonical_json_matches_json_dumps(doc):
     assert canonical_json(doc) == dumps_json(doc)
 
@@ -295,22 +296,19 @@ def test_format_decimal_checks_its_arguments_before_the_memo():
     assert format_decimal(x, 1, "down") == "2.5"
 
 
-def fraction_places_for(hi, minimum=30):
+def fraction_places_for(hi):
     """_places_for with a Fraction product on every pass."""
-    places = minimum
-    scale = Fraction(10) ** minimum
+    places = 30
+    scale = Fraction(10) ** 30
     while hi > 0 and hi * scale < 1:
         places += 10
         scale *= 10**10
     return places
 
 
-@given(
-    st.builds(Fraction, st.integers(-10, 10**40), st.integers(1, 10**200)),
-    st.integers(0, 80),
-)
-def test_places_for_matches_the_fraction_loop(hi, minimum):
-    assert _places_for(hi, minimum) == fraction_places_for(hi, minimum)
+@given(st.builds(Fraction, st.integers(-10, 10**40), st.integers(1, 10**200)))
+def test_places_for_matches_the_fraction_loop(hi):
+    assert _places_for(hi) == fraction_places_for(hi)
 
 
 def test_format_decimal_rounds_outward():
@@ -623,6 +621,7 @@ def test_exhausted_source_exits_4(capsys):
             "depth_limit must be >= 0, got -1",
         ),
         (["trace", "--config", "CONFIG"], "depth_limit must be >= 0, got -1"),
+        (["trace", "--config", "UNKNOWN"], "unknown config key(s) 'depth-limit', 'bogus'"),
         (
             ["synth", "--schedule", "extremal:k=2:cycles=3", "--search-bound", "-1"],
             "search_bound must be >= 0, got -1",
@@ -644,6 +643,7 @@ def test_exhausted_source_exits_4(capsys):
         "digits",
         "depth-limit",
         "depth-limit-config",
+        "unknown-config-key",
         "search-bound",
         "depth",
         "t-end",
@@ -656,11 +656,13 @@ def test_exhausted_source_exits_4(capsys):
 def test_negative_argument_exits_2(tmp_path, capsys, argv, detail):
     config = tmp_path / "run.cfg"
     config.write_text(f"sources = {PHI} {RT2}\ndepth_limit = -1\n")
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text(f"sources = {PHI} {RT2}\ndepth-limit = 0\nbogus = 1\n")
     trace = tmp_path / "trace.json"
     trace_argv = ["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "3", "--out", str(trace)]
     assert main(trace_argv) == 0
     capsys.readouterr()
-    paths = {"CONFIG": str(config), "TRACE": str(trace)}
+    paths = {"CONFIG": str(config), "UNKNOWN": str(unknown), "TRACE": str(trace)}
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,7 +1,6 @@
 """Staircase evaluation, Perron cross-checks, and exact comparisons."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,13 @@ from irrmeasure.cf_engine import (
 )
 from irrmeasure.errors import ComparisonUndecided, NotAJumpPoint, SourceExhausted
 from irrmeasure.order_dynamics import FunctionTuple, _by_ends, _certify, order_vector_at
-from irrmeasure.psi import ApproximationError, psi_at, psi_left_limit, strictly_below
+from irrmeasure.psi import (
+    ApproximationError,
+    level_handle,
+    psi_at,
+    psi_left_limit,
+    strictly_below,
+)
 
 PHI = parse_source("periodic:[1;|1]")
 RT2 = parse_source("periodic:[1;|2]")
@@ -41,6 +46,11 @@ def contains(b, value) -> bool:
     lo = mp.mpf(b.lo.numerator) / b.lo.denominator
     hi = mp.mpf(b.hi.numerator) / b.hi.denominator
     return lo <= value <= hi
+
+
+def first_level(source) -> int:
+    """The lowest staircase level: 1 when a_1 = 1, where q_0 = q_1 = 1."""
+    return 1 if source.state(1).q == 1 else 0
 
 
 def test_psi_phi_small_values():
@@ -181,14 +191,18 @@ def test_brute_sweep_overlaps_psi_at(source):
         assert b.width <= Fraction(2, 10**13)
 
 
-def test_level_zero_with_unit_first_quotient_against_brute_force():
-    # phi = [1; 1, 1, ...]: q_0 = q_1 = 1 and the integer nearest to phi
-    # is a_0 + 1 = p_1, not p_0
-    err = ApproximationError(PHI, 0)
-    err.refine_to(Fraction(1, 10**30))
-    assert err.bracket.width <= Fraction(1, 10**30)
-    assert encloses(brute_force_psi(PHI, 1), err.bracket)
-    assert contains(err.bracket, 2 - oracle.phi_value())
+@pytest.mark.parametrize(
+    "spec", ["periodic:[1;|1]", "rule:e", "seeded:3:1", "explicit:[3;1,5,2]"]
+)
+def test_level_zero_is_refused_when_q0_equals_q1(spec):
+    # a_1 = 1: the staircase starts at level 1, which t = 1 maps to
+    source = parse_source(spec)
+    with pytest.raises(ValueError, match="level 0 is no staircase level when q_0 = q_1"):
+        ApproximationError(source, 0)
+    assert level_handle(source, 1).m == 1
+    if not spec.startswith("explicit"):
+        assert psi_at(source, 1).m == 1
+        assert encloses(brute_force_psi(source, 1), psi_at(source, 1, Fraction(1, 10**30)).bracket)
 
 
 def test_brute_sweep_against_oracle_brute():
@@ -261,11 +275,11 @@ source_factories = st.one_of(
 )
 
 
-def fraction_width_refine_to(err, target_width, step):
+def fraction_width_refine_to(err, target_width):
     """The stopping rule as it read before the integer width test."""
     while err.bracket.width > target_width:
         width = err.bracket.width
-        err.refine(step)
+        err.refine(4)
         assert err.bracket.width < width  # a stuck bracket would loop forever
 
 
@@ -281,12 +295,13 @@ def outcome(fn):
     source_factories,
     st.one_of(st.just(0), st.integers(min_value=0, max_value=40)),
     st.sampled_from(TARGETS),
-    st.sampled_from([1, 4]),
 )
-def test_refine_to_matches_the_fraction_width_loop(make_source, m, target, step):
+def test_refine_to_matches_the_fraction_width_loop(make_source, m, target):
+    m = max(m, first_level(make_source()))
+
     def run(stop):
         err = ApproximationError(make_source(), m)
-        stop(err, target, step)
+        stop(err, target)
         return err
 
     expected = outcome(lambda: run(fraction_width_refine_to))
@@ -297,14 +312,6 @@ def test_refine_to_matches_the_fraction_width_loop(make_source, m, target, step)
         source = make_source()
         q = source.state(m).q
         assert got[1] == nearest_integer_distance(scale(bracket(source, got[0]), q))
-
-
-def test_refine_to_starts_at_level_zero_with_unit_first_quotient():
-    # phi: the bracket at m = 0 has the integer end 0 and its width is q_0/(q_2*q_1)
-    err = ApproximationError(PHI, 0)
-    assert err.bracket.lo == 0
-    err.refine_to(Fraction(1, 2))
-    assert err.depth == 3 and err.bracket.width == Fraction(1, 2)
 
 
 def memo_outcome(call, source, t, width):
@@ -325,19 +332,18 @@ def test_bracket_memo_matches_fresh_sources(spec):
             for call in (psi_at, psi_left_limit):
                 got = memo_outcome(call, swept, t, width)
                 assert got == memo_outcome(call, parse_source(spec), t, width)
-    # the settled depth depends on the starting depth and the step too
-    for m in range(20):
-        for extra in (0, 1, 3):
-            for step, width in itertools.product((1, 4), widths):
-                got, expected = (
-                    ApproximationError(source, m) for source in (swept, parse_source(spec))
-                )
-                if extra:
-                    got.refine(extra)
-                    expected.refine(extra)
-                got.refine_to(width, step)
-                expected.refine_to(width, step)
-                assert (got.depth, integer_ends(got)) == (expected.depth, integer_ends(expected))
+    # the settled depth depends on the starting depth too
+    for m in range(first_level(swept), 20):
+        for extra, width in itertools.product((0, 1, 3), widths):
+            got, expected = (
+                ApproximationError(source, m) for source in (swept, parse_source(spec))
+            )
+            if extra:
+                got.refine(extra)
+                expected.refine(extra)
+            got.refine_to(width)
+            expected.refine_to(width)
+            assert (got.depth, integer_ends(got)) == (expected.depth, integer_ends(expected))
 
 
 def test_refining_a_handle_leaves_later_values_alone():
@@ -456,22 +462,6 @@ def test_a_width_that_is_not_positive_is_refused_before_any_read(spec, target_wi
     ):
         with pytest.raises(ValueError, match="target width must be positive"):
             call()
-
-
-def test_a_search_with_a_bad_step_stores_no_depth(monkeypatch):
-    err = ApproximationError(parse_source("seeded:5:9"), 4)
-    with pytest.raises(ValueError, match="refinement step"):
-        err.refine_to(Fraction(1, 10**24), step=0)
-    assert err.depth == 7
-    err.refine_to(Fraction(1, 10**24), step=4)
-    # psi_at's own search, with its step forced below 1, raises too
-    t = err.source.state(4).q
-    monkeypatch.setattr(psi_module, "_STEP", 0)
-    with pytest.raises(ValueError, match="refinement step"):
-        psi_at(err.source, t, Fraction(1, 10**24))
-    monkeypatch.undo()
-    value = psi_at(err.source, t, Fraction(1, 10**24))
-    assert (value.depth, integer_ends(value)) == (err.depth, integer_ends(err))
 
 
 # ------------------------------------------------------ the level cursor
@@ -620,7 +610,7 @@ def fraction_bracket(source, m, depth):
 @pytest.mark.parametrize(
     "spec",
     [
-        "periodic:[1;|1]",  # a_1 = 1: at m = 0 the nearest integer is p_1
+        "periodic:[1;|1]",  # a_1 = 1: the levels start at m = 1
         "periodic:[0;3,1|2,7]",
         "seeded:5:9",
         "seeded:11:2",
@@ -631,7 +621,7 @@ def fraction_bracket(source, m, depth):
 )
 def test_integer_ends_give_the_fraction_bracket(spec):
     source = parse_source(spec)
-    for m in range(41):
+    for m in range(first_level(parse_source(spec)), 41):
         err = ApproximationError(source, m)
         for _ in range(4):
             assert err.bracket == fraction_bracket(source, m, err.depth)
@@ -708,16 +698,13 @@ def test_continuant_ends_match_the_product_formula(spec):
     # index after the same number of states as the one the handles read
     source, twin = parse_source(spec), parse_source(spec)
     steps = [1, 2, 1, 3] * 3
-    for m in range(41):
+    for m in range(first_level(parse_source(spec)), 41):
         err = ApproximationError(source, m)
         assert seen(lambda: integer_ends(err), source) == seen(
             lambda: product_ends(twin, m, m + 3), twin
         )
         q, q_next = source.state(m).q, source.state(m + 1).q
-        if q_next == q:  # m = 0 with a_1 = 1: the ends start at 0
-            assert (err.floor, err.ceil) == (0, math.inf)
-        else:
-            assert (err.floor, err.ceil) == (q_next, q_next + q)
+        assert (err.floor, err.ceil) == (q_next, q_next + q)
         for step in steps:
             depth = err.depth + step
             got = seen(lambda: err.refine(step) or integer_ends(err), source)
@@ -752,7 +739,7 @@ def test_one_step_refine_matches_two_step_refine(spec):
     # source runs out for both from its own reads.
     source, twin = parse_source(spec), parse_source(spec)
     ran_out = False
-    for m in range(30):
+    for m in range(first_level(parse_source(spec)), 30):
         try:
             one, two = ApproximationError(source, m), ApproximationError(twin, m)
         except SourceExhausted:
@@ -792,7 +779,7 @@ EXPLICIT_SPECS = [
 def test_explicit_sources_run_out_where_the_product_formula_does(spec):
     source, twin = parse_source(spec), parse_source(spec)
     terms = len(source.terms_list)
-    for m in range(terms + 1):
+    for m in range(first_level(parse_source(spec)), terms + 1):
         got = seen(lambda: integer_ends(ApproximationError(source, m)), source)
         assert got == seen(lambda: product_ends(twin, m, m + 3), twin)
     # every denominator and its neighbours, and t past the last one; the
@@ -830,7 +817,11 @@ def sign(x):
 # first one's ceil 3 equals the second one's floor
 @example(("seeded:3:3", "seeded:6:2"), (1, 1), (0, 0))
 def test_first_order_verdicts_agree_with_the_cross_products(specs, levels, extras):
-    a, b = (ApproximationError(parse_source(spec), m, spec) for spec, m in zip(specs, levels))
+    sources = [parse_source(spec) for spec in specs]
+    a, b = (
+        ApproximationError(source, max(m, first_level(source)), spec)
+        for source, m, spec in zip(sources, levels, specs)
+    )
     for err, extra in zip((a, b), extras):
         if extra:
             err.refine(extra)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from irrmeasure.cf_engine import ExplicitSource, parse_source
 from irrmeasure.errors import HypothesisNotMet, PatternMismatch, UnknownLabel
-from irrmeasure.order_dynamics import ChangeMoment, ChangeTrace, FunctionTuple
+from irrmeasure.order_dynamics import ChangeMoment, ChangeTrace, FunctionTuple, iter_events
 from irrmeasure.structure_verify import (
     bound_check,
     check_prejump_reversal,
@@ -278,6 +278,20 @@ def test_prejump_reversal_refuses_an_empty_window_before_any_read(events):
     with pytest.raises(ValueError, match="events must be >= 1"):
         check_prejump_reversal(alpha, beta, events=events)
     assert alpha._terms == [] and beta._terms == []
+
+
+@pytest.mark.parametrize(
+    "terms, events", [([0, 2], 1), ([0, 2, 3], 1), ([0, 2, 3], 2), ([1, 1, 1], 1)]
+)
+def test_prejump_reversal_reads_nothing_past_its_window(terms, events):
+    # the window ends before alpha's q_3, so it holds no pattern, and the
+    # scan reads only the quotients the window's events read
+    alpha, beta = ExplicitSource(terms), parse_source(PHI)
+    with pytest.raises(HypothesisNotMet):
+        check_prejump_reversal(alpha, beta, events=events)
+    twin = FunctionTuple.build([("a", ExplicitSource(terms)), ("b", parse_source(PHI))])
+    list(itertools.islice(iter_events(twin, 0), events))
+    assert len(alpha._terms) == len(twin.members[0][1]._terms)
 
 
 def test_prejump_reversal_on_synthesized_pair():

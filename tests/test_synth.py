@@ -1,5 +1,6 @@
 """Schedule synthesis: congruence merging, realization, replay."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -224,6 +225,24 @@ def test_joint_start_default_prefixes():
     assert result.event_values == (3,)
     assert result.quotients == {"A": (0, 1, 2), "B": (0, 2, 1)}
     assert replay_check(result)
+
+
+def test_replay_check_rejects_a_corrupted_result():
+    result = synthesize(extremal_schedule(2, 4))
+    assert replay_check(result)
+    # a_m one larger moves q_m, so 1.1's last event value is none of its q
+    terms = result.quotients["1.1"]
+    quotients = {**result.quotients, "1.1": terms[:-1] + (terms[-1] + 1,)}
+    assert not replay_check(dataclasses.replace(result, quotients=quotients))
+    # and so without certificates, which the schedule check alone rejects
+    bare = dataclasses.replace(result, certificates=((),) * len(result.certificates))
+    assert replay_check(bare)
+    assert not replay_check(dataclasses.replace(bare, quotients=quotients))
+    # every member keeps its denominators, but one certificate's index is off
+    (cert, *others), *events = result.certificates
+    wrong = dataclasses.replace(cert, cf_index=cert.cf_index + 1)
+    certificates = ((wrong, *others), *events)
+    assert not replay_check(dataclasses.replace(result, certificates=certificates))
 
 
 def test_six_event_pattern():

@@ -71,6 +71,20 @@ def test_a_traced_sweep_counts_one_handle_per_level():
     assert set(figures) == set(tracing.METRICS)
 
 
+def test_a_traced_synthesis_counts_its_merges():
+    tracing = load_tracing()
+    instrumentation = tracing.Instrumentation(irrmeasure)
+    instrumentation.install()
+    try:
+        result = synth.synthesize(synth.extremal_schedule(2, 4))
+        figures = instrumentation.figures()
+    finally:
+        instrumentation.remove()
+    # synthesize merges each event's congruences through merge_congruences
+    assert figures["synth.merge_calls"] == len(result.event_values) == 8
+    assert figures["synth.merge_s"] > 0
+
+
 def test_the_program_prints_nothing(capsys):
     sweep(Fraction(1, 10**24), range(1, 300), 233)
     pair = order_dynamics.FunctionTuple.build(
