@@ -19,11 +19,7 @@ _M64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ConvergentState:
-    """Rolling window of the convergent recurrence at index m.
-
-    Holds p_m/q_m together with the previous pair, which is all the
-    recurrence p_{m+1} = a*p_m + p_{m-1} (same for q) needs.
-    """
+    """The convergents p_m/q_m and p_{m-1}/q_{m-1} at index m."""
 
     m: int
     p: int
@@ -31,21 +27,9 @@ class ConvergentState:
     p_prev: int
     q_prev: int
 
-    def advance(self, a: int) -> "ConvergentState":
-        if self.m >= 0 and a < 1:
-            raise ValueError(f"partial quotient a_{self.m + 1} must be >= 1, got {a}")
-        return ConvergentState(
-            self.m + 1, a * self.p + self.p_prev, a * self.q + self.q_prev, self.p, self.q
-        )
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
-
-
-def initial_state(a0: int) -> ConvergentState:
-    """State at m = 0: p_0/q_0 = a0/1 with virtual (p_{-1}, q_{-1}) = (1, 0)."""
-    return ConvergentState(0, a0, 1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -67,20 +51,20 @@ class RationalBracket:
 class PartialQuotientSource:
     """Lazily extended sequence of partial quotients defining one number.
 
-    Subclasses implement _emit(m).  Emitted terms and convergent states
-    (with their denominators in a plain list that seek bisects) are
-    cached.  The caches only ever grow, and each entry is a frozen value
-    fixed by the quotients alone, so sharing a source between readers is
-    harmless.  Beside them, psi_at's level cursor points at the one level
-    it served last, as (width object, q_m, q_{m+1}, settled handle); it
-    moves, it never grows, and psi_at hands out only copies of its handle,
-    so no reader can see another's refinement depth.
+    Subclasses implement _emit(m).  Two lists are cached: the emitted
+    quotients and the convergent denominators q_m, which seek bisects.
+    They only ever grow, and each entry is fixed by the quotients alone, so
+    sharing a source between readers is harmless.  No numerator is kept:
+    state(m) derives p_m afresh on each call.  Beside the lists, psi_at's
+    level cursor points at the one level it served last, as (width object,
+    q_m, q_{m+1}, settled handle); it moves, it never grows, and psi_at
+    hands out only copies of its handle, so no reader can see another's
+    refinement depth.
     """
 
     def __init__(self):
         self._terms: list[int] = []
-        self._states: list[ConvergentState] = []
-        self._denominators: list[int] = []  # q of each state in _states
+        self._denominators: list[int] = []  # q_0, q_1, ... as far as read
         self._cursor: tuple = (None, 0, 0, None)  # psi_at's last level; matches no t
 
     def _emit(self, m: int) -> int:
@@ -97,19 +81,31 @@ class PartialQuotientSource:
             self._terms.append(a)
         return self._terms[m]
 
-    def state(self, m: int) -> ConvergentState:
-        """Convergent state at index m, computed and cached on demand."""
+    def denominator(self, m: int) -> int:
+        """q_m, by q_k = a_k*q_{k-1} + q_{k-2} from q_0 = 1, q_1 = a_1.
+
+        Reads a_0 .. a_m, so an explicit source that runs out raises
+        SourceExhausted with the list extended as far as it got.  m < 0 is
+        refused before the list is indexed, which would read it from the end.
+        """
         if m < 0:
             raise ValueError("state index must be >= 0")
-        while len(self._states) <= m:
-            k = len(self._states)
-            if k == 0:
-                st = initial_state(self.term(0))
-            else:
-                st = self._states[k - 1].advance(self.term(k))
-            self._states.append(st)
-            self._denominators.append(st.q)
-        return self._states[m]
+        q = self._denominators
+        while len(q) <= m:
+            k = len(q)
+            a = self.term(k)
+            q.append(a * q[k - 1] + q[k - 2] if k > 1 else (a if k else 1))
+        return q[m]
+
+    def state(self, m: int) -> ConvergentState:
+        """Convergents at index m: q from the denominator list, p walked
+        over a_0 .. a_m by the same recurrence from p_{-2} = 0, p_{-1} = 1.
+        Nothing of it is cached."""
+        q = self.denominator(m)
+        p, p_prev = 1, 0
+        for a in self._terms[: m + 1]:
+            p, p_prev = a * p + p_prev, p
+        return ConvergentState(m, p, q, p_prev, self._denominators[m - 1] if m else 0)
 
     def seek(self, t: int) -> int:
         """Smallest index m with q_m >= t.
@@ -123,7 +119,7 @@ class PartialQuotientSource:
             raise ValueError("t must be a positive integer")
         denominators = self._denominators
         while not denominators or denominators[-1] < t:
-            self.state(len(denominators))
+            self.denominator(len(denominators))
         return bisect_left(denominators, t)
 
     def spec_string(self) -> str:

@@ -347,11 +347,12 @@ def cmd_expand(args) -> int:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     source = parse_source(args.source)
     rows = []
+    p, p_prev = 1, 0  # p_{-1}, p_{-2}
     for m in range(args.depth):
-        state = source.state(m)
-        rows.append(
-            {"m": m, "a": str(source.term(m)), "p": str(state.p), "q": str(state.q)}
-        )
+        q = source.denominator(m)
+        a = source.term(m)
+        p, p_prev = a * p + p_prev, p
+        rows.append({"m": m, "a": str(a), "p": str(p), "q": str(q)})
     if args.json:
         emit(canonical_json({"source": source.spec_string(), "rows": rows}), args.out)
     else:

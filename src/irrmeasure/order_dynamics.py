@@ -9,7 +9,6 @@ denominators.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import groupby, islice, repeat
@@ -137,8 +136,9 @@ def _distinct_denominators(source: PartialQuotientSource, start_exclusive: int =
     """Strictly increasing q_m stream, merging the duplicate at q_0 = q_1."""
     last = None
     m = source.seek(max(start_exclusive, 0) + 1)
+    qs = source._denominators
     while True:
-        q = source.state(m).q
+        q = qs[m] if m < len(qs) else source.denominator(m)
         if q != last:
             yield q
             last = q
@@ -286,7 +286,7 @@ def order_vector_at(
 
 def clamp_start(ftuple: FunctionTuple, t0: int) -> int:
     """Traces start no earlier than every member's q_2."""
-    floor_t = max(source.state(2).q for _, source in ftuple.members)
+    floor_t = max(source.denominator(2) for _, source in ftuple.members)
     return max(t0, floor_t)
 
 
@@ -357,8 +357,3 @@ def tuple_from_header(header: dict) -> FunctionTuple:
     ):
         raise ValueError("trace header sources must be a list of [label, spec] strings")
     return FunctionTuple.build((label, parse_source(spec)) for label, spec in sources)
-
-
-def distinct_vectors(trace: ChangeTrace) -> Counter:
-    """Multiset of order vectors occurring in the trace, v0 included."""
-    return Counter(trace.vectors())

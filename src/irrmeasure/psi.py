@@ -73,8 +73,8 @@ class ApproximationError:
         self.source = source
         self.m = m
         self.label = label
-        following = source.state(m + 1)
-        self.q, q_next = following.q_prev, following.q
+        q_next = source.denominator(m + 1)
+        self.q = source._denominators[m]
         if q_next == self.q:
             raise ValueError("level 0 is no staircase level when q_0 = q_1")
         self.floor, self.ceil = q_next, q_next + self.q
@@ -90,7 +90,7 @@ class ApproximationError:
 
     def _copy(self, label: str | None) -> ApproximationError:
         """A separate handle of the same class at this one's (m, depth, ends),
-        carrying label; no state is read and no width tested."""
+        carrying label; no denominator is read and no width tested."""
         cls = type(self)
         copy = cls.__new__(cls)
         copy.source = self.source
@@ -105,15 +105,16 @@ class ApproximationError:
 
     def _ends_at(self, depth: int, top: int, shallow: int, deep: int) -> _BracketEnds:
         """New ends at depth, stepping (K_{top-1}, K_top) = (shallow, deep)
-        up to depth - 1.  The state read first caches the quotients, so an
-        explicit source runs out before anything is stepped."""
-        deepest = self.source.state(depth - 1)
+        up to depth - 1.  The denominator read first caches the quotients, so
+        an explicit source runs out before anything is stepped."""
+        q_deep = self.source.denominator(depth - 1)
+        q_shallow = self.source._denominators[depth - 2]
         terms = self.source._terms
         for d in range(top + 1, depth):
             shallow, deep = deep, terms[d] * deep + shallow
         if (depth - self.m) % 2:
-            return _BracketEnds(deep, deepest.q, shallow, deepest.q_prev)
-        return _BracketEnds(shallow, deepest.q_prev, deep, deepest.q)
+            return _BracketEnds(deep, q_deep, shallow, q_shallow)
+        return _BracketEnds(shallow, q_shallow, deep, q_deep)
 
     def _move_to(self, depth: int) -> None:
         e = self.ends  # (K_{D-2}, K_{D-1}) at D = self.depth, by the parity rule
@@ -126,8 +127,8 @@ class ApproximationError:
 
         One step, the call every certification round makes, is taken here:
         K_D = a_D*K_{D-1} + K_{D-2} and q_D become the deeper end, and the
-        end K_{D-2} is dropped.  State D is read first unless it is cached,
-        so an explicit source runs out before the handle changes.  Longer
+        end K_{D-2} is dropped.  q_D is read first unless it is cached, so
+        an explicit source runs out before the handle changes.  Longer
         steps go through _move_to.
         """
         if extra != 1:
@@ -137,13 +138,13 @@ class ApproximationError:
             return
         depth, e = self.depth, self.ends
         source = self.source
-        states = source._states
-        deepest = states[depth] if len(states) > depth else source.state(depth)
+        qs = source._denominators
+        q = qs[depth] if len(qs) > depth else source.denominator(depth)
         a = source._terms[depth]
         if (depth - self.m) % 2:  # lo is K_{D-1} and stays; K_D is the new hi
-            self.ends = _BracketEnds(e.lo_num, e.lo_den, a * e.lo_num + e.hi_num, deepest.q)
+            self.ends = _BracketEnds(e.lo_num, e.lo_den, a * e.lo_num + e.hi_num, q)
         else:  # hi is K_{D-1} and stays; K_D is the new lo
-            self.ends = _BracketEnds(a * e.hi_num + e.lo_num, deepest.q, e.hi_num, e.hi_den)
+            self.ends = _BracketEnds(a * e.hi_num + e.lo_num, q, e.hi_num, e.hi_den)
         self.depth = depth + 1
 
     def refine_to(self, target_width: Fraction) -> None:
@@ -162,10 +163,9 @@ class ApproximationError:
         """refine_to's search for a width num/den > 0."""
         scaled_q = self.q * den
         depth = self.depth
-        deepest = self.source.state(depth - 1)
-        while scaled_q > num * deepest.q * deepest.q_prev:
+        denominator, qs = self.source.denominator, self.source._denominators
+        while scaled_q > num * denominator(depth - 1) * qs[depth - 2]:
             depth += _STEP
-            deepest = self.source.state(depth - 1)
         if depth != self.depth:
             self._move_to(depth)
 
@@ -257,7 +257,7 @@ def psi_left_limit(
     if t < 2:
         raise NotAJumpPoint(f"t={t} is below every jump with m >= 2")
     m = source.seek(t)
-    if source.state(m).q != t or m < 2:
+    if source._denominators[m] != t or m < 2:
         raise NotAJumpPoint(f"t={t} is not a denominator with index >= 2")
     handle = _settled(source, m - 1, width)
     handle.label = label

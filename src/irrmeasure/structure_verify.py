@@ -309,7 +309,7 @@ def check_prejump_reversal(
         m = alpha.seek(q_next) - 1
         if m < 2:
             continue
-        q_m = alpha.state(m).q
+        q_m = alpha.denominator(m)
         # s is beta's first denominator index strictly above q_m
         s = beta.seek(q_m + 1)
         if s < 2:
@@ -371,9 +371,9 @@ def check_triple_coincidence(
     whole interval [h_{s+1}, h_{s+2}) the second staircase stays strictly
     above the first, certified by comparing the levels s+1 and m+1.
     """
-    q = [alpha.state(m + i).q for i in range(4)]
-    h = [beta.state(s + i).q for i in range(4)]
-    r = [gamma.state(l + i).q for i in range(4)]
+    q = [alpha.denominator(m + i) for i in range(4)]
+    h = [beta.denominator(s + i) for i in range(4)]
+    r = [gamma.denominator(l + i) for i in range(4)]
     required = [
         ("q_m = h_s", q[0], h[0]),
         ("q_{m+1} = r_l", q[1], r[0]),

@@ -419,7 +419,7 @@ def synthesize(
             raise ValueError("each prefix needs at least a_0 and a_1")
         source = ExplicitSource(terms)
         quotients[label] = terms
-        qs = [source.state(i).q for i in range(len(terms))]
+        qs = [source.denominator(i) for i in range(len(terms))]
         states[label] = (qs[-1], qs[-2], len(terms) - 1)
         owned += qs
     small = math.lcm(*(math.gcd(q, _SMALL_PRIME_PRODUCT) for q in owned))

@@ -5,9 +5,9 @@ recurrences for denominators and mpmath constants for the real numbers,
 sharing no code with the package under test.
 
 The exact rational routes below it (brute-force minimization of ||q*alpha||,
-the Perron identity on a tail bracket) use only cf_engine's convergents and
-RationalBracket, never psi, so they stay independent of the production
-staircase kernel they check.
+the Perron identity on a tail bracket) use only the plain recurrence, a
+source's quotients and cf_engine's bracket and RationalBracket, never psi,
+so they stay independent of the production staircase kernel they check.
 
 The helpers at the end are the package's former test-only members: bracket
 set relations and scaling, the convergent determinant, inverse pair
@@ -15,17 +15,13 @@ indexing, pi's canonical predecessor, the jump count tau and a member's
 event positions in a synthesis.  They too never touch psi.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from irrmeasure.cf_engine import (
-    PartialQuotientSource,
-    RationalBracket,
-    bracket,
-    initial_state,
-)
+from irrmeasure.cf_engine import PartialQuotientSource, RationalBracket, bracket
 from irrmeasure.errors import IndexOutOfRange, IrrMeasureError
 from irrmeasure.triangle_perm import canonical_pairs, triangle_size
 
@@ -67,6 +63,21 @@ def denominators(quotient, count: int):
         q_prev, q = q, quotient(m) * q + q_prev
         qs.append(q)
     return qs
+
+
+def convergents(quotient):
+    """(p_m, q_m, p_{m-1}, q_{m-1}) for m = 0, 1, ... by the plain recurrence,
+    from (p_{-1}, q_{-1}) = (1, 0) and (p_{-2}, q_{-2}) = (0, 1)."""
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    for k in itertools.count():
+        a = quotient(k)
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+        yield p, q, p_prev, q_prev
+
+
+def convergent(quotient, m: int):
+    """Entry m of convergents(quotient), reading a_0 .. a_m."""
+    return next(itertools.islice(convergents(quotient), m, None))
 
 
 def distinct_denominators(quotient, count: int):
@@ -213,11 +224,9 @@ def tail_bracket(source: PartialQuotientSource, m: int, depth: int) -> RationalB
     a_m = source.term(m)
     if depth == 1:
         return RationalBracket(Fraction(a_m), Fraction(a_m + 1))
-    state = initial_state(a_m)
-    for i in range(1, depth):
-        state = state.advance(source.term(m + i))
-    lo_value = state.value
-    hi_value = Fraction(state.p_prev, state.q_prev)
+    p, q, p_prev, q_prev = convergent(lambda i: source.term(m + i), depth - 1)
+    lo_value = Fraction(p, q)
+    hi_value = Fraction(p_prev, q_prev)
     if lo_value > hi_value:
         lo_value, hi_value = hi_value, lo_value
     return RationalBracket(lo_value, hi_value)

@@ -10,10 +10,10 @@ import _oracle as oracle
 from _oracle import determinant, encloses, tail_bracket
 from irrmeasure.cf_engine import (
     ExplicitSource,
+    PartialQuotientSource,
     PeriodicSource,
     SeededSource,
     bracket,
-    initial_state,
     parse_source,
 )
 from irrmeasure.errors import SourceExhausted
@@ -55,12 +55,6 @@ def test_determinant_identity_deep(spec):
         # q strictly increases once past the possible q_0 = q_1 tie
         if m >= 2:
             assert state.q > state.q_prev
-
-
-def test_advance_rejects_nonpositive_quotient():
-    state = initial_state(1)
-    with pytest.raises(ValueError):
-        state.advance(0)
 
 
 def test_bracket_phi_depth4():
@@ -171,6 +165,19 @@ def test_state_refuses_a_negative_index(warm):
         source.state(-1)
 
 
+def test_a_nonpositive_quotient_is_refused_before_any_denominator():
+    class ZeroAtThree(PartialQuotientSource):
+        def _emit(self, m):
+            return 0 if m == 3 else 1
+
+    source = ZeroAtThree()
+    assert source.denominator(2) == 2
+    for read in (source.term, source.denominator, source.state):
+        with pytest.raises(ValueError, match="partial quotient a_3 must be >= 1, got 0"):
+            read(3)
+    assert len(source._terms) == len(source._denominators) == 3
+
+
 def test_explicit_rejects_bad_terms():
     with pytest.raises(ValueError):
         ExplicitSource([1, 0, 2])
@@ -241,9 +248,11 @@ def test_seek_matches_a_plain_scan(terms, ts):
         assert outcome(lambda: sought.seek(t)) == outcome(lambda: scan_level(scanned, t))
         # the lookup reads no further into the source than the scan does
         assert len(sought._terms) == len(scanned._terms)
-        # the list seek bisects stays in step with the states, also after
-        # the source runs out
-        assert sought._denominators == [s.q for s in sought._states]
+        # the list seek bisects holds the plain recurrence's values, as far
+        # as the scan's, also after the source runs out
+        assert sought._denominators == scanned._denominators == oracle.denominators(
+            [0, *terms].__getitem__, len(scanned._denominators)
+        )
 
 
 def test_seek_resolves_the_q0_q1_tie_to_the_first_index():
@@ -278,3 +287,52 @@ def test_consecutive_denominators_coprime(terms):
     for m in range(1, len(terms) + 1):
         state = source.state(m)
         assert math.gcd(state.q, state.q_prev) == 1
+
+
+def explicit_spec(terms):
+    return "explicit:[0;" + ",".join(map(str, terms)) + "]"
+
+
+def periodic_spec(a0, pre, period):
+    return f"periodic:[{a0};{','.join(map(str, pre))}|{','.join(map(str, period))}]"
+
+
+quotient_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=4)
+recurrence_specs = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12).map(explicit_spec),
+    st.builds(
+        "seeded:{}:{}".format, st.integers(0, 2**64 - 1), st.integers(min_value=1, max_value=9)
+    ),
+    st.builds(
+        periodic_spec, st.integers(0, 3), quotient_lists, quotient_lists.filter(bool)
+    ),
+)
+
+
+@given(recurrence_specs, st.lists(st.integers(min_value=-3, max_value=30), min_size=1, max_size=8))
+def test_denominator_and_state_match_the_plain_recurrence(spec, ms):
+    source, twin = parse_source(spec), parse_source(spec)
+    available = len(twin.terms_list) if isinstance(twin, ExplicitSource) else None
+    frontier = 0
+    for m in ms:
+        if m < 0:
+            # a negative index must not read the list from its end
+            for read in (source.denominator, source.state):
+                with pytest.raises(ValueError, match="state index must be >= 0"):
+                    read(m)
+        elif available is not None and m >= available:
+            for read in (source.denominator, source.state):
+                with pytest.raises(SourceExhausted) as info:
+                    read(m)
+                assert (info.value.index, info.value.available) == (available, available)
+            frontier = available
+        else:
+            p, q, p_prev, q_prev = oracle.convergent(twin.term, m)
+            assert source.denominator(m) == q
+            state = source.state(m)
+            assert (state.m, state.p, state.q, state.p_prev, state.q_prev) == (
+                m, p, q, p_prev, q_prev,
+            )
+            frontier = max(frontier, m + 1)
+        # the source reads a_0 .. a_m for q_m, no further
+        assert len(source._terms) == len(source._denominators) == frontier

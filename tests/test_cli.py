@@ -6,12 +6,15 @@ import json
 import math
 import os
 import stat
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import _oracle as oracle
 from irrmeasure import cli_io
+from irrmeasure.cf_engine import PartialQuotientSource
 from irrmeasure.cli_io import (
     CSV_HEADER,
     OUTPUT_DIR_ENV,
@@ -348,6 +351,34 @@ def test_expand_table(capsys):
     assert len(lines) == 5
     assert lines[0].split() == ["m", "a_m", "p_m", "q_m"]
     assert lines[4].split() == ["3", "2", "17", "12"]
+
+
+def test_expand_past_the_frozen_depths(tmp_path, monkeypatch):
+    # one pass over the quotients: the uncached state(m) walks a_0 .. a_m
+    # each call, so a loop through it would be O(depth^2)
+    def state(self, m):
+        raise AssertionError(f"state {m} read")
+
+    monkeypatch.setattr(PartialQuotientSource, "state", state)
+    start = time.perf_counter()
+    code, out = run(tmp_path, "expand", "--source", "rule:e", "--depth", "2000", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    expected = [
+        {"m": m, "a": str(oracle.e_quotient(m)), "p": str(p), "q": str(q)}
+        for m, (p, q, _, _) in zip(range(2000), oracle.convergents(oracle.e_quotient))
+    ]
+    assert json.loads(out.read_text())["rows"] == expected
+
+
+def test_expand_of_an_exhausted_source_exits_4(capsys):
+    assert main(["expand", "--source", "explicit:[0;1,2]", "--depth", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SourceExhausted",
+        "detail": "source exhausted: term 3 requested, only 3 available",
+    }
 
 
 def test_psi_single_point(tmp_path):

@@ -19,7 +19,6 @@ from irrmeasure.order_dynamics import (
     build_events,
     change_trace,
     clamp_start,
-    distinct_vectors,
     iter_events,
     order_vector_at,
     tuple_from_header,
@@ -116,8 +115,7 @@ def test_change_trace_definitional_properties():
 
 def test_pair_alternates_between_two_reversed_vectors():
     trace = change_trace(pair(), 2, 20)
-    counts = distinct_vectors(trace)
-    assert set(counts) == {("phi", "rt2"), ("rt2", "phi")}
+    assert set(trace.vectors()) == {("phi", "rt2"), ("rt2", "phi")}
 
 
 def test_vector_constant_between_events():

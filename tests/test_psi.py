@@ -435,16 +435,16 @@ def test_exhausted_explicit_source_reports_its_end(warm, t, target_width):
         with pytest.raises(SourceExhausted) as info:
             psi_at(source, t, target_width=target_width)
         assert (info.value.index, info.value.available) == (9, 9)
-        assert len(source._states) == 9 and len(source._terms) == 9
+        assert len(source._denominators) == 9 and len(source._terms) == 9
 
 
 def forbid_reads(source):
-    """Make any state read fail."""
+    """Make any denominator or state read fail."""
 
-    def state(m):
-        raise AssertionError(f"state {m} read")
+    def read(m):
+        raise AssertionError(f"convergent {m} read")
 
-    source.state = state
+    source.denominator = source.state = read
 
 
 @pytest.mark.parametrize("spec", ["periodic:[1;|1]", "explicit:[0;1,2,3,4,5,6,7,8]"])
@@ -675,7 +675,7 @@ def seen(fn, source):
         value = fn()
     except SourceExhausted as exc:
         value = ("exhausted", exc.index, exc.available)
-    return value, len(source._states), len(source._terms)
+    return value, len(source._denominators), len(source._terms)
 
 
 INTEGER_END_SPECS = [
@@ -783,8 +783,8 @@ def test_explicit_sources_run_out_where_the_product_formula_does(spec):
         got = seen(lambda: integer_ends(ApproximationError(source, m)), source)
         assert got == seen(lambda: product_ends(twin, m, m + 3), twin)
     # every denominator and its neighbours, and t past the last one; the
-    # twin's states are all cached by now, so this reads nothing more
-    ts = {state.q + d for state in twin._states for d in (-1, 0, 1)} | {2, 3, 10**6}
+    # twin's denominators are all cached by now, so this reads nothing more
+    ts = {q + d for q in twin._denominators for d in (-1, 0, 1)} | {2, 3, 10**6}
 
     def psi_outcome(t, target):
         err = psi_at(source, t, target)
