@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from . import __version__
-from .cf_engine import parse_source
+from .cf_engine import SeededSource, parse_source
 from .errors import (
     ComparisonUndecided,
     InfeasibleSchedule,
@@ -38,7 +38,6 @@ from .order_dynamics import (
     FunctionTuple,
     build_events,
     change_trace,
-    tuple_from_header,
 )
 from .psi import psi_at, psi_left_limit
 from .structure_verify import verify_structure
@@ -310,7 +309,7 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-# each config-file key and how its value is read; horizon is only recorded
+# each config-file key and how its value is read
 _CONFIG_KEYS = dict(sources=shlex.split, t0=int, count=int, horizon=int, depth_limit=int, out=str)
 
 
@@ -384,11 +383,19 @@ def cmd_psi(args) -> int:
 
 
 def trace_document(config: RunConfig) -> dict:
+    """The trace of a run: its first `count` moments, none past `horizon`,
+    under a header that records the sources and the run's options."""
     ftuple = parse_labeled_sources(config.sources)
-    trace = change_trace(ftuple, config.t0, config.count, config.depth_limit)
+    trace = change_trace(ftuple, config.t0, config.count, config.depth_limit, config.horizon)
     doc = trace.to_document()
-    doc["header"]["config"] = config.to_document()
-    doc["header"]["version"] = __version__
+    header = doc["header"]
+    header["sources"] = [[label, source.spec_string()] for label, source in ftuple.members]
+    header["depth_limit"] = config.depth_limit
+    header["requested_t0"] = str(config.t0)
+    if any(isinstance(source, SeededSource) for _, source in ftuple.members):
+        header["prng"] = SeededSource.PRNG_NAME
+    header["config"] = config.to_document()
+    header["version"] = __version__
     return doc
 
 
@@ -466,6 +473,17 @@ def staircase_rows(ftuple: FunctionTuple, t_points):
     points = [(label, source, t, kind) for label, source in ftuple.members for t, kind in t_points]
     ends = _decimal_ends(psi_at(source, t, target_width=width) for _, source, t, _ in points)
     return [(label, str(t), lo, hi, kind) for (label, _, t, kind), (lo, hi) in zip(points, ends)]
+
+
+def tuple_from_header(header: dict) -> FunctionTuple:
+    """Rebuild the function tuple recorded in a trace header."""
+    sources = header["sources"]
+    if not isinstance(sources, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        for pair in sources
+    ):
+        raise ValueError("trace header sources must be a list of [label, spec] strings")
+    return FunctionTuple.build((label, parse_source(spec)) for label, spec in sources)
 
 
 def export_staircase(subject, path: str | None, horizon: int | None = None) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from itertools import groupby, islice, repeat
+from itertools import groupby, repeat, takewhile
 
-from .cf_engine import PartialQuotientSource, SeededSource, parse_source
+from .cf_engine import PartialQuotientSource
 from .errors import ComparisonUndecided
 from .psi import level_handle, strictly_below
 
@@ -173,12 +173,7 @@ def build_events(ftuple: FunctionTuple, horizon: int) -> list:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    events = []
-    for event in iter_events(ftuple, 0):
-        if event.t > horizon:
-            break
-        events.append(event)
-    return events
+    return list(takewhile(lambda event: event.t <= horizon, iter_events(ftuple, 0)))
 
 
 def _by_ends(x, y) -> int:
@@ -290,70 +285,52 @@ def clamp_start(ftuple: FunctionTuple, t0: int) -> int:
     return max(t0, floor_t)
 
 
-def _change_moments(ftuple: FunctionTuple, start: int, events, depth_limit: int):
-    """Yield the order vector at start, then a ChangeMoment at each event
-    whose order vector differs from the one before it.
+def change_trace(
+    ftuple: FunctionTuple,
+    t0: int,
+    count: int | None = None,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    horizon: int | None = None,
+) -> ChangeTrace:
+    """The order vector at the start and the first `count` moments after it
+    at which the vector changes, none past `horizon`.
+
+    At least one bound is required.  t0 is clamped up to the largest q_2
+    among members so that every staircase is past its initial irregular
+    levels.  Events past the horizon are cut before they are certified.
 
     The certified handles carry over from one event to the next: only the
     jumping members get fresh handles, and every other member keeps its
     handle and depth.  Their values have not moved, and their brackets were
     pairwise disjoint at the previous event, so only pairs with a fresh
-    handle can overlap.  depth_limit bounds the rounds of each event's
-    certification, counted from the depths the handles already have.
+    handle can overlap.  depth_limit bounds the refinement rounds at each
+    event counted from the depths the handles already have, not from fresh
+    handles.  The header is left empty, since a synthesized member's spec
+    can pass the 4300-digit guard of int to str; the trace command writes it.
     """
+    if ftuple.n < 2:
+        raise ValueError("dynamics need at least two members")
+    if count is None and horizon is None:
+        raise ValueError("change_trace needs a count or a horizon")
+    if count is not None and count < 0:
+        raise ValueError("count must be >= 0")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    start = clamp_start(ftuple, t0)
     sources = dict(ftuple.members)
     handles = [level_handle(source, start, label) for label, source in ftuple.members]
-    current = _certify(handles, start, depth_limit)
-    yield current
-    for event in events:
+    v0 = current = _certify(handles, start, depth_limit)
+    events = iter_events(ftuple, start)
+    if horizon is not None:
+        events = takewhile(lambda event: event.t <= horizon, events)
+    moments = []
+    while len(moments) != count and (event := next(events, None)) is not None:
         fresh = {
             label: level_handle(sources[label], event.t, label) for label in event.jumping
         }
         handles = [fresh.get(e.label, e) for e in handles]
         vector = _certify(handles, event.t, depth_limit)
         if vector != current:
-            yield ChangeMoment(event.t, vector, event.jumping)
+            moments.append(ChangeMoment(event.t, vector, event.jumping))
             current = vector
-
-
-def change_trace(
-    ftuple: FunctionTuple,
-    t0: int,
-    count: int,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-) -> ChangeTrace:
-    """First `count` moments after t0 at which the order vector changes.
-
-    t0 is clamped up to the largest q_2 among members so that every
-    staircase is past its initial irregular levels.  Between events a
-    member keeps its bracket and depth, so depth_limit bounds the
-    refinement rounds at each event counted from the depths the brackets
-    already have, not from fresh handles.
-    """
-    if ftuple.n < 2:
-        raise ValueError("dynamics need at least two members")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    start = clamp_start(ftuple, t0)
-    stream = _change_moments(ftuple, start, iter_events(ftuple, start), depth_limit)
-    v0 = next(stream)
-    moments = tuple(islice(stream, count))
-    header = {
-        "sources": [[label, source.spec_string()] for label, source in ftuple.members],
-        "depth_limit": depth_limit,
-        "requested_t0": str(t0),
-    }
-    if any(isinstance(source, SeededSource) for _, source in ftuple.members):
-        header["prng"] = SeededSource.PRNG_NAME
-    return ChangeTrace(start, v0, moments, header)
-
-
-def tuple_from_header(header: dict) -> FunctionTuple:
-    """Rebuild the function tuple recorded in a trace header."""
-    sources = header["sources"]
-    if not isinstance(sources, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
-        for pair in sources
-    ):
-        raise ValueError("trace header sources must be a list of [label, spec] strings")
-    return FunctionTuple.build((label, parse_source(spec)) for label, spec in sources)
+    return ChangeTrace(start, v0, tuple(moments))

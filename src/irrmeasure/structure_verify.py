@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import islice
 
 from . import order_dynamics, triangle_perm
 from .cf_engine import PartialQuotientSource
@@ -38,6 +38,7 @@ from .order_dynamics import (
     DEFAULT_DEPTH_LIMIT,
     ChangeTrace,
     FunctionTuple,
+    change_trace,
     clamp_start,
     iter_events,
 )
@@ -399,21 +400,17 @@ def sign_changes(
     """Certified sign reversals of the difference of a pair up to horizon.
 
     For two staircases every change of the order vector is a reversal, so
-    this counts change moments from the clamped start.  As in change_trace,
-    a member keeps its bracket between events, and depth_limit bounds the
+    this counts the change moments of change_trace up to horizon.  A member
+    keeps its bracket between events, and depth_limit bounds the
     refinement rounds at each event counted from the depths it already has.
     A negative depth_limit raises ValueError, whatever the horizon.
     """
     if ftuple.n != 2:
         raise ValueError("sign changes are defined for a pair")
     order_dynamics._check_depth_limit(depth_limit)
-    start = clamp_start(ftuple, 1)
-    if horizon < start:
+    if horizon < clamp_start(ftuple, 1):
         return 0
-    events = takewhile(lambda event: event.t <= horizon, iter_events(ftuple, start))
-    moments = order_dynamics._change_moments(ftuple, start, events, depth_limit)
-    next(moments)  # the order vector at start
-    return sum(1 for _ in moments)
+    return len(change_trace(ftuple, 1, depth_limit=depth_limit, horizon=horizon).moments)
 
 
 @dataclass(frozen=True)

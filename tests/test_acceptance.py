@@ -11,13 +11,11 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import takewhile
 
 import pytest
 
 from _oracle import canonical_predecessor, iter_brute_force_psi
 import pinned
-from irrmeasure import order_dynamics
 from irrmeasure.cf_engine import parse_source
 from irrmeasure.cli_io import main as cli_main
 from irrmeasure.errors import HypothesisNotMet
@@ -329,20 +327,13 @@ def test_acceptance_11_reproducibility(tmp_path):
 @reported(12, "extremal pipeline")
 def test_acceptance_12_extremal_pipeline():
     # synthesize, trace the padded members up to the certified horizon, then
-    # check laws i-vi.  The moment loop runs directly: a trace header would
-    # write quotients past the 4300-digit guard.
+    # check laws i-vi.
     for k, cycles, count in ((2, 10, 14), (3, 6, 9)):
         result = synthesize(extremal_schedule(k, cycles))
         ftuple = FunctionTuple.build(result.padded_sources(extra=60).items())
-        start = order_dynamics.clamp_start(ftuple, 1)
         horizon = result.certified_horizon
-        events = takewhile(
-            lambda event: event.t <= horizon, order_dynamics.iter_events(ftuple, start)
-        )
-        v0, *moments = order_dynamics._change_moments(
-            ftuple, start, events, order_dynamics.DEFAULT_DEPTH_LIMIT
-        )
-        assert len(moments) == count and moments[-1].t <= horizon
-        report = verify_structure(ChangeTrace(start, v0, tuple(moments)), k)
+        trace = change_trace(ftuple, 1, horizon=horizon)
+        assert len(trace.moments) == count and trace.moments[-1].t <= horizon
+        report = verify_structure(trace, k)
         assert sorted(report.items) == ["i", "ii", "iii", "iv", "v", "vi"]
         assert report.all_passed, {key: item.status for key, item in report.items.items()}

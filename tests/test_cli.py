@@ -18,12 +18,18 @@ from irrmeasure.cf_engine import PartialQuotientSource
 from irrmeasure.cli_io import (
     CSV_HEADER,
     OUTPUT_DIR_ENV,
+    RunConfig,
     _places_for,
     canonical_json,
     format_decimal,
     main,
+    parse_labeled_sources,
     read_config_file,
+    trace_document,
+    tuple_from_header,
 )
+from irrmeasure.order_dynamics import build_events
+from irrmeasure.synth import extremal_schedule, synthesize
 
 PHI = "phi=periodic:[1;|1]"
 RT2 = "rt2=periodic:[1;|2]"
@@ -427,6 +433,39 @@ def test_trace_config_file_and_override(tmp_path):
     assert len(doc["events"]) == 5
 
 
+def test_header_rebuilds_tuple():
+    doc = trace_document(RunConfig(sources=[PHI, RT2], t0=2, count=3))
+    rebuilt = tuple_from_header(doc["header"])
+    assert rebuilt.labels == ("phi", "rt2")
+    assert build_events(rebuilt, 13) == build_events(parse_labeled_sources([PHI, RT2]), 13)
+
+
+def test_seeded_header_records_prng():
+    doc = trace_document(RunConfig(sources=["s1=seeded:3:4", "s2=seeded:4:4"], count=1))
+    assert doc["header"]["prng"] == "splitmix64"
+    assert "prng" not in trace_document(RunConfig(sources=[PHI, RT2], t0=2, count=1))["header"]
+
+
+def test_synth_trace_verify_loop_at_k2(tmp_path):
+    # the padded members of extremal(2, 9), traced by spec up to the
+    # certified horizon; count only caps the trace, the horizon ends it
+    result = synthesize(extremal_schedule(2, 9))
+    padded = result.padded_sources(extra=60)
+    specs = [f"{label}={source.spec_string()}" for label, source in padded.items()]
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text(
+        f"sources = {' '.join(specs)}\nhorizon = {result.certified_horizon}\ncount = 1000\n"
+    )
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    assert main(["trace", "--config", str(cfg), "--out", str(trace)]) == 0
+    assert main(["verify", "--trace", str(trace), "--k", "2", "--out", str(report)]) == 0
+    events = json.loads(trace.read_text())["events"]
+    assert len(events) == 12 and int(events[-1]["t"]) <= result.certified_horizon
+    items = json.loads(report.read_text())["items"]
+    assert sorted(items) == ["i", "ii", "iii", "iv", "v", "vi"]
+    assert all(item["status"] == "pass" for item in items.values()), items
+
+
 def test_verify_round_trip(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     main(["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "6", "--out", str(trace_path)])
@@ -653,6 +692,7 @@ def test_exhausted_source_exits_4(capsys):
         ),
         (["trace", "--config", "CONFIG"], "depth_limit must be >= 0, got -1"),
         (["trace", "--config", "UNKNOWN"], "unknown config key(s) 'depth-limit', 'bogus'"),
+        (["trace", "--config", "HORIZON"], "horizon must be >= 1"),
         (
             ["synth", "--schedule", "extremal:k=2:cycles=3", "--search-bound", "-1"],
             "search_bound must be >= 0, got -1",
@@ -675,6 +715,7 @@ def test_exhausted_source_exits_4(capsys):
         "depth-limit",
         "depth-limit-config",
         "unknown-config-key",
+        "horizon-config",
         "search-bound",
         "depth",
         "t-end",
@@ -689,11 +730,18 @@ def test_negative_argument_exits_2(tmp_path, capsys, argv, detail):
     config.write_text(f"sources = {PHI} {RT2}\ndepth_limit = -1\n")
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text(f"sources = {PHI} {RT2}\ndepth-limit = 0\nbogus = 1\n")
+    horizon = tmp_path / "horizon.cfg"
+    horizon.write_text(f"sources = {PHI} {RT2}\nhorizon = 0\n")
     trace = tmp_path / "trace.json"
     trace_argv = ["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "3", "--out", str(trace)]
     assert main(trace_argv) == 0
     capsys.readouterr()
-    paths = {"CONFIG": str(config), "UNKNOWN": str(unknown), "TRACE": str(trace)}
+    paths = {
+        "CONFIG": str(config),
+        "UNKNOWN": str(unknown),
+        "HORIZON": str(horizon),
+        "TRACE": str(trace),
+    }
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -21,7 +21,6 @@ from irrmeasure.order_dynamics import (
     clamp_start,
     iter_events,
     order_vector_at,
-    tuple_from_header,
 )
 from irrmeasure.psi import ApproximationError, level_handle
 from irrmeasure.structure_verify import check_prejump_reversal, sign_changes
@@ -146,13 +145,6 @@ def test_trace_round_trip():
     assert again.to_document() == doc
 
 
-def test_header_rebuilds_tuple():
-    trace = change_trace(pair(), 2, 3)
-    rebuilt = tuple_from_header(trace.header)
-    assert rebuilt.labels == ("phi", "rt2")
-    assert build_events(rebuilt, 13) == build_events(pair(), 13)
-
-
 def test_seeded_triple_distinct_vector_bound():
     ft = FunctionTuple.build(
         [
@@ -165,15 +157,6 @@ def test_seeded_triple_distinct_vector_bound():
     within = [m for m in trace.moments if m.t <= 10**4]
     seen = {trace.v0} | {m.vector for m in within}
     assert 2 <= len(seen) <= 6
-
-
-def test_seeded_header_records_prng():
-    ft = FunctionTuple.build(
-        [("s1", parse_source("seeded:3:4")), ("s2", parse_source("seeded:4:4"))]
-    )
-    trace = change_trace(ft, 1, 1)
-    assert trace.header["prng"] == "splitmix64"
-    assert "prng" not in change_trace(pair(), 2, 1).header
 
 
 def test_sign_changes_pinned_and_monotone():
@@ -242,6 +225,43 @@ def test_kept_handles_sign_changes_match_fresh_vectors(specs, horizon):
         moments = fresh_vector_moments(ftuple, start)
         expected = sum(1 for _ in takewhile(lambda m: m.t <= horizon, moments))
     assert sign_changes(ftuple, horizon) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seeded_specs.map(lambda specs: specs[:6]),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**8),
+)
+def test_horizon_cuts_a_count_bounded_trace(specs, t0, horizon):
+    ftuple = seeded_tuple(specs)
+    count = 8
+    while (longer := change_trace(ftuple, t0, count)).moments[-1].t <= horizon:
+        count *= 2
+    trace = change_trace(ftuple, t0, horizon=horizon)
+    assert (trace.t0, trace.v0) == (longer.t0, longer.v0)
+    assert trace.moments == tuple(m for m in longer.moments if m.t <= horizon)
+
+
+class Unreadable:
+    """A source that fails on any read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name}")
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({}, "change_trace needs a count or a horizon"),
+        ({"count": -1}, "count must be >= 0"),
+        ({"horizon": 0}, "horizon must be >= 1"),
+    ],
+)
+def test_change_trace_refuses_bad_bounds_before_any_read(bounds, message):
+    ftuple = FunctionTuple.build([("a", Unreadable()), ("b", Unreadable())])
+    with pytest.raises(ValueError, match=message):
+        change_trace(ftuple, 1, **bounds)
 
 
 def test_each_handle_is_refined_at_most_once_per_round(monkeypatch):
@@ -424,13 +444,11 @@ def test_tied_float_keys_match_fraction_keys(prefix, tails, t, keys_tie, depth_l
 def test_extremal_window_moments_are_pinned():
     # k = 3, cycles = 6 with filler tails, events up to the sixth-last event
     # value: 10 moments, pinned as sha256 over t in hex, the vector and the
-    # jumping labels.  The moment loop runs directly, since the trace header
-    # would write quotients past the 4300-digit guard.
+    # jumping labels.
     result = synthesize(extremal_schedule(3, 6))
     ftuple = FunctionTuple.build(result.padded_sources(extra=60).items())
-    start, horizon = clamp_start(ftuple, 1), result.event_values[-6]
-    events = takewhile(lambda event: event.t <= horizon, iter_events(ftuple, start))
-    v0, *moments = order_dynamics._change_moments(ftuple, start, events, 64)
+    trace = change_trace(ftuple, 1, horizon=result.event_values[-6])
+    v0, moments = trace.v0, trace.moments
     assert len(moments) == 10
     lines = [" ".join(v0)] + [
         f"{m.t:x} {' '.join(m.vector)} | {' '.join(m.jumping)}" for m in moments
