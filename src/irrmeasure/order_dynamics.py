@@ -155,13 +155,13 @@ def iter_events(ftuple: FunctionTuple, start_exclusive: int = 0):
     while streams:
         t = streams[0][0]
         jumping = []
+        # the heap orders by (q, index), so members tied at t pop in tuple order
         while streams and streams[0][0] == t:
             _, index, label, it = heapq.heappop(streams)
-            jumping.append((index, label))
+            jumping.append(label)
             q = next(it)
             heapq.heappush(streams, (q, index, label, it))
-        jumping.sort()
-        yield JumpEvent(t, tuple(label for _, label in jumping))
+        yield JumpEvent(t, tuple(jumping))
 
 
 def build_events(ftuple: FunctionTuple, horizon: int) -> list:

@@ -145,9 +145,16 @@ def _best_offset(jumping_sets, calendar):
     return min(range(k), key=mismatches)
 
 
+def _first_failure(witnesses) -> ItemStatus:
+    """Fail with the first witness the iterator yields, pass if it yields none."""
+    witness = next(iter(witnesses), None)
+    return ItemStatus("pass") if witness is None else ItemStatus("fail", witness=witness)
+
+
 def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
-    """Check items i..vi on a recorded trace at its finite horizon."""
-    moments = list(trace.moments)
+    """Check items i..vi on a recorded trace at its finite horizon; each
+    item reports its first witness in moment order."""
+    moments = trace.moments
     if len(moments) < 2 * k + 1:
         raise ValueError(f"trace too short: need at least {2 * k + 1} moments")
     vectors = trace.vectors()
@@ -157,25 +164,21 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
     items = {}
 
     # i: every moment has exactly k jumping members
-    status = ItemStatus("pass")
-    for moment, jumping in zip(moments, jumping_sets):
-        if len(jumping) != k:
-            status = ItemStatus("fail", witness=(moment.t, f"tau={len(jumping)}"))
-            break
-    items["i"] = status
+    items["i"] = _first_failure(
+        (moment.t, f"tau={len(jumping)}")
+        for moment, jumping in zip(moments, jumping_sets)
+        if len(jumping) != k
+    )
 
     # ii: exact period k, i.e. repetition after k steps and k distinct vectors
-    status = ItemStatus("pass")
-    for index in range(len(vectors) - k):
-        if vectors[index + k] != vectors[index]:
-            t_bad = moments[index + k - 1].t
-            status = ItemStatus("fail", witness=(t_bad, "period broken"))
-            break
-    if status.passed and len(set(vectors[: min(k, len(vectors))])) != min(
-        k, len(vectors)
-    ):
-        status = ItemStatus("fail", witness=(moments[0].t, "period smaller than k"))
-    items["ii"] = status
+    def period_breaks():
+        for moment, earlier, later in zip(moments[k - 1 :], vectors, vectors[k:]):
+            if later != earlier:
+                yield moment.t, "period broken"
+        if len(set(vectors[:k])) != k:
+            yield moments[0].t, "period smaller than k"
+
+    items["ii"] = _first_failure(period_breaks())
 
     # iii..vi read each label's slot (j, l), so v0 must fill the triangle
     size = triangle_perm.triangle_size(k)
@@ -196,64 +199,41 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
         for c in range(1, k + 1)
     }
     offset = _best_offset(jumping_sets, calendar)
+    residues = [(index + offset) % k + 1 for index in range(len(moments))]
 
     # iii / iv: observed jumps among the moments match the residue calendar
-    diag_status = ItemStatus("pass")
-    off_status = ItemStatus("pass")
-    for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
-        expected_set = calendar[(index - 1 + offset) % k + 1]
-        mismatched = expected_set ^ jumping
-        if not mismatched:
-            continue
-        for label, pair in pair_of.items():
-            if label not in mismatched:
-                continue
-            word = "expected" if label in expected_set else "unexpected"
-            witness = (moment.t, f"{word} jump of {label} (slot {pair})")
-            if pair[0] == pair[1]:
-                if diag_status.passed:
-                    diag_status = ItemStatus("fail", witness=witness)
-            else:
-                if off_status.passed:
-                    off_status = ItemStatus("fail", witness=witness)
-    items["iii"] = diag_status
-    items["iv"] = off_status
+    def schedule_misses(diagonal):
+        for moment, jumping, residue in zip(moments, jumping_sets, residues):
+            mismatched = calendar[residue] ^ jumping
+            if mismatched:
+                for label, pair in pair_of.items():
+                    if label in mismatched and (pair[0] == pair[1]) is diagonal:
+                        word = "unexpected" if label in jumping else "expected"
+                        yield moment.t, f"{word} jump of {label} (slot {pair})"
+
+    items["iii"] = _first_failure(schedule_misses(diagonal=True))
+    items["iv"] = _first_failure(schedule_misses(diagonal=False))
 
     # v: jumpers are the k largest just before, led by the diagonal component
-    status = ItemStatus("pass")
-    for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
-        previous = vectors[index - 1]
-        top_block = set(previous[:k])
-        residue = ((index - 1 + offset) % k) + 1
-        leader = label_of.get((residue, residue))
-        if jumping != top_block:
-            status = ItemStatus(
-                "fail", witness=(moment.t, "jumping set is not the leading block")
-            )
-            break
-        if previous[0] != leader:
-            status = ItemStatus(
-                "fail",
-                witness=(moment.t, f"leader {previous[0]} is not slot ({residue},{residue})"),
-            )
-            break
-    items["v"] = status
+    def block_misses():
+        for moment, previous, jumping, residue in zip(moments, vectors, jumping_sets, residues):
+            if jumping != set(previous[:k]):
+                yield moment.t, "jumping set is not the leading block"
+            elif previous[0] != label_of.get((residue, residue)):
+                yield moment.t, f"leader {previous[0]} is not slot ({residue},{residue})"
+
+    items["v"] = _first_failure(block_misses())
 
     # vi: each step is one application of the cyclic permutation
-    status = ItemStatus("pass")
-    for index in range(1, len(vectors)):
-        expected = triangle_perm.apply_pi(k, vectors[index - 1])
-        if tuple(vectors[index]) != expected:
-            status = ItemStatus(
-                "fail", witness=(moments[index - 1].t, "vector is not pi(previous)")
-            )
-            break
-    items["vi"] = status
+    items["vi"] = _first_failure(
+        (moment.t, "vector is not pi(previous)")
+        for moment, previous, vector in zip(moments, vectors, vectors[1:])
+        if tuple(vector) != triangle_perm.apply_pi(k, previous)
+    )
 
-    if items["vi"].passed and len(vectors) > k:
-        # one permutation step per moment forces period k; a contradiction
-        # here is a bug in this module, not in the trace
-        assert items["ii"].passed, "cycle_step passed but periodicity failed"
+    # one permutation step per moment forces period k; a contradiction
+    # here is a bug in this module, not in the trace
+    assert not items["vi"].passed or items["ii"].passed, "cycle_step passed but periodicity failed"
 
     return VerificationReport(k, n, horizon, items, pair_of, offset)
 

@@ -354,14 +354,14 @@ class SynthesisResult:
             )
         return self.event_values[-(2 * k + 1)]
 
-    def padded_sources(self, extra: int = 40, fill: int = 1) -> dict:
-        """Sources extended with filler quotients for bracket refinement.
+    def padded_sources(self, extra: int = 40) -> dict:
+        """Sources extended with `extra` quotients 1 for bracket refinement.
 
         The scheduled coincidences live in the prefix and are unaffected;
         the tail only lets comparisons refine deep enough to certify.
         """
         return {
-            label: ExplicitSource(list(terms) + [fill] * extra)
+            label: ExplicitSource(list(terms) + [1] * extra)
             for label, terms in self.quotients.items()
         }
 

@@ -422,6 +422,15 @@ def test_trace_document_shape(tmp_path):
     assert doc["events"][0]["v"] == ["rt2", "phi"]
 
 
+def test_unlabeled_trace_sources_are_named_in_order(tmp_path):
+    sources = ["periodic:[1;|1]", "periodic:[1;|2]"]
+    code, out = run(tmp_path, "trace", "--sources", *sources, "--t0", "2", "--count", "2")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["header"]["sources"] == [["f1", "periodic:[1;|1]"], ["f2", "periodic:[1;|2]"]]
+    assert doc["events"][0]["v"] == ["f2", "f1"]
+
+
 def test_trace_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"sources = {PHI} {RT2}\nt0 = 2\ncount = 3\n")
@@ -540,6 +549,20 @@ def test_export_from_trace_and_empty_trace(tmp_path):
     out_path = tmp_path / "empty.csv"
     assert main(["export", "--trace", str(empty_path), "--out", str(out_path)]) == 0
     assert out_path.read_text() == CSV_HEADER + "\n"
+
+
+def test_export_of_a_trace_keeps_the_rows_up_to_the_horizon(tmp_path):
+    trace_path = tmp_path / "trace.json"
+    argv = ["trace", "--sources", PHI, RT2, "--t0", "2", "--count", "20", "--out", str(trace_path)]
+    assert main(argv) == 0
+    rows = []
+    for horizon in ([], ["--horizon", "100"]):
+        csv_path = tmp_path / "stairs.csv"
+        assert main(["export", "--trace", str(trace_path), *horizon, "--out", str(csv_path)]) == 0
+        rows.append(csv_path.read_text().splitlines()[1:])
+    full, cut = rows
+    assert (len(full), len(cut)) == (78, 26)
+    assert cut == [row for row in full if int(row.split(",")[1]) <= 100]
 
 
 def test_export_requires_a_subject(tmp_path, capsys):
@@ -709,6 +732,16 @@ def test_exhausted_source_exits_4(capsys):
         (["export", "--trace", "TRACE", "--horizon", "-5"], "horizon must be >= 1"),
         (["export", "--sources", PHI, "--horizon", "0"], "horizon must be >= 1"),
         (["export", "--sources", PHI, "--horizon", "-5"], "horizon must be >= 1"),
+        (["psi", "--source", "periodic:[1;0|1]", "--t", "5"], "preperiod term a_1 must be >= 1"),
+        (["psi", "--source", "periodic:[1;|0]", "--t", "5"], "period terms must be >= 1"),
+        (
+            ["psi", "--source", "periodic:[1;2]", "--t", "5"],
+            "malformed periodic source 'periodic:[1;2]'",
+        ),
+        (["psi", "--source", "rule:const:0", "--t", "5"], "rule 'const' needs a constant >= 1"),
+        (["psi", "--source", "seeded:1:0", "--t", "5"], "quotient bound must be >= 1"),
+        (["trace", "--count", "3"], "trace needs at least two sources"),
+        (["trace", "--sources", PHI, "--count", "3"], "dynamics need at least two members"),
     ],
     ids=[
         "digits",
@@ -723,6 +756,13 @@ def test_exhausted_source_exits_4(capsys):
         "export-trace-horizon-negative",
         "export-sources-horizon-0",
         "export-sources-horizon-negative",
+        "periodic-a1-0",
+        "periodic-period-term-0",
+        "periodic-without-period",
+        "rule-const-0",
+        "seeded-bound-0",
+        "trace-no-sources",
+        "trace-one-source",
     ],
 )
 def test_negative_argument_exits_2(tmp_path, capsys, argv, detail):

@@ -464,6 +464,14 @@ def test_a_width_that_is_not_positive_is_refused_before_any_read(spec, target_wi
             call()
 
 
+@pytest.mark.parametrize("extra", [0, -1])
+def test_a_refinement_step_below_1_is_refused_before_any_read(extra):
+    held = ApproximationError(parse_source("periodic:[1;|1]"), 2)
+    forbid_reads(held.source)
+    with pytest.raises(ValueError, match="refinement step must be >= 1"):
+        held.refine(extra)
+
+
 # ------------------------------------------------------ the level cursor
 
 CURSOR_SPECS = [

@@ -2,14 +2,17 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from irrmeasure.cf_engine import ExplicitSource, parse_source
 from irrmeasure.errors import HypothesisNotMet, PatternMismatch, UnknownLabel
 from irrmeasure.order_dynamics import ChangeMoment, ChangeTrace, FunctionTuple, iter_events
 from irrmeasure.structure_verify import (
+    ItemStatus,
+    VerificationReport,
     bound_check,
     check_prejump_reversal,
     check_triple_coincidence,
@@ -19,7 +22,7 @@ from irrmeasure.structure_verify import (
     verify_structure,
 )
 from irrmeasure.synth import JumpSchedule, synthesize
-from irrmeasure.triangle_perm import apply_pi, canonical_pairs
+from irrmeasure.triangle_perm import apply_pi, canonical_pairs, triangle_size
 
 PHI = "periodic:[1;|1]"
 RT2 = "periodic:[1;|2]"
@@ -249,6 +252,189 @@ def test_calendar_items_match_the_per_call_loop(case):
     for key in ("iii", "iv"):
         assert doc["items"][key]["status"] == statuses[key]
         assert doc["items"][key]["witness"] == witnesses[key]
+
+
+def looped_report(trace, k):
+    """verify_structure's document as one scan per item, each with a status
+    variable and a break, the loops the verifier ran before each item became
+    a witness generator; the offset comes from per_call_calendar_items."""
+    moments = list(trace.moments)
+    vectors = trace.vectors()
+    n = len(trace.v0)
+    horizon = moments[-1].t
+    jumping_sets = [set(moment.jumping) for moment in moments]
+    items = {}
+
+    status = ItemStatus("pass")
+    for moment, jumping in zip(moments, jumping_sets):
+        if len(jumping) != k:
+            status = ItemStatus("fail", witness=(moment.t, f"tau={len(jumping)}"))
+            break
+    items["i"] = status
+
+    status = ItemStatus("pass")
+    for index in range(len(vectors) - k):
+        if vectors[index + k] != vectors[index]:
+            status = ItemStatus("fail", witness=(moments[index + k - 1].t, "period broken"))
+            break
+    if status.passed and len(set(vectors[: min(k, len(vectors))])) != min(k, len(vectors)):
+        status = ItemStatus("fail", witness=(moments[0].t, "period smaller than k"))
+    items["ii"] = status
+
+    size = triangle_size(k)
+    if n != size:
+        message = f"vector length {n} is not the triangular size {size} for k={k}"
+        reason = f"enumeration inference failed: {message}"
+        for key in ("iii", "iv", "v", "vi"):
+            items[key] = ItemStatus("inconclusive", reason=reason)
+        return VerificationReport(k, n, horizon, items).to_document()
+
+    pairs = canonical_pairs(k)
+    pair_of = {label: pairs[p] for p, label in enumerate(trace.v0)}
+    label_of = {pair: label for label, pair in pair_of.items()}
+    calendar = {
+        c: {label for label, pair in pair_of.items() if c in pair} for c in range(1, k + 1)
+    }
+    offset = per_call_calendar_items(trace, k)[0]
+
+    diag_status = ItemStatus("pass")
+    off_status = ItemStatus("pass")
+    for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
+        expected_set = calendar[(index - 1 + offset) % k + 1]
+        mismatched = expected_set ^ jumping
+        for label, pair in pair_of.items():
+            if label not in mismatched:
+                continue
+            word = "expected" if label in expected_set else "unexpected"
+            witness = (moment.t, f"{word} jump of {label} (slot {pair})")
+            if pair[0] == pair[1]:
+                if diag_status.passed:
+                    diag_status = ItemStatus("fail", witness=witness)
+            elif off_status.passed:
+                off_status = ItemStatus("fail", witness=witness)
+    items["iii"] = diag_status
+    items["iv"] = off_status
+
+    status = ItemStatus("pass")
+    for index, (moment, jumping) in enumerate(zip(moments, jumping_sets), start=1):
+        previous = vectors[index - 1]
+        residue = ((index - 1 + offset) % k) + 1
+        if jumping != set(previous[:k]):
+            status = ItemStatus("fail", witness=(moment.t, "jumping set is not the leading block"))
+            break
+        if previous[0] != label_of.get((residue, residue)):
+            witness = (moment.t, f"leader {previous[0]} is not slot ({residue},{residue})")
+            status = ItemStatus("fail", witness=witness)
+            break
+    items["v"] = status
+
+    status = ItemStatus("pass")
+    for index in range(1, len(vectors)):
+        if tuple(vectors[index]) != apply_pi(k, vectors[index - 1]):
+            status = ItemStatus("fail", witness=(moments[index - 1].t, "vector is not pi(previous)"))
+            break
+    items["vi"] = status
+
+    return VerificationReport(k, n, horizon, items, pair_of, offset).to_document()
+
+
+@st.composite
+def law_traces(draw):
+    """Traces of k = 1..4 built on a calendar_traces draw, with drawn defects.
+
+    The vectors follow pi from v0, or stay at v0 (a period smaller than k).
+    The jump sets are the calendar_traces ones or each previous vector's top
+    k block, so some traces follow pi exactly.  Defects: an orbit restarted
+    from a shuffled vector (not pi(previous)), two entries of one vector
+    swapped (a broken period), the first two entries of one vector swapped
+    (the wrong leader), one block member swapped for a label outside it
+    (the wrong leading block), a jumper added or dropped (the wrong jumper
+    count), and one more label in every vector (a length that is not
+    triangular).
+    """
+    calendar_trace, k = draw(calendar_traces())
+    v0 = calendar_trace.v0
+    n = len(v0)
+    count = len(calendar_trace.moments)
+    defects = draw(
+        st.sets(st.sampled_from(["restart", "swap", "leader", "block", "count", "triangle"]))
+    )
+    follow_pi = draw(st.booleans())
+
+    def orbit(start, length):
+        vectors = [start]
+        while len(vectors) < length:
+            vectors.append(apply_pi(k, vectors[-1]) if follow_pi else start)
+        return vectors
+
+    vectors = orbit(v0, count + 1)
+    if "restart" in defects:
+        at = draw(st.integers(1, count))
+        vectors[at:] = orbit(tuple(draw(st.permutations(v0))), count + 1 - at)
+    if "swap" in defects and n > 1:
+        at = draw(st.integers(1, count))
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        v = list(vectors[at])
+        v[i], v[j] = v[j], v[i]
+        vectors[at] = tuple(v)
+    if "leader" in defects and k > 1:
+        at = draw(st.integers(1, count))
+        v = vectors[at]
+        vectors[at] = (v[1], v[0]) + v[2:]
+
+    if draw(st.booleans()):
+        jumps = [set(moment.jumping) for moment in calendar_trace.moments]
+    else:
+        jumps = [set(previous[:k]) for previous in vectors[:-1]]
+    if "block" in defects:
+        at = draw(st.integers(0, count - 1))
+        outside = set(v0) - jumps[at]
+        if jumps[at] and outside:
+            swapped = {draw(st.sampled_from(sorted(jumps[at])))}
+            jumps[at] = jumps[at] - swapped | {draw(st.sampled_from(sorted(outside)))}
+    if "count" in defects:
+        at = draw(st.integers(0, count - 1))
+        if jumps[at] and draw(st.booleans()):
+            jumps[at] = jumps[at] - {draw(st.sampled_from(sorted(jumps[at])))}
+        else:
+            jumps[at] = jumps[at] | {"X"}
+    if "triangle" in defects:
+        vectors = [v + ("Z",) for v in vectors]
+
+    moments = tuple(
+        ChangeMoment(2 * index, vector, tuple(sorted(jumping)))
+        for index, (vector, jumping) in enumerate(zip(vectors[1:], jumps), start=1)
+    )
+    return ChangeTrace(1, vectors[0], moments), k
+
+
+def quiet_verify(trace, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return verify_structure(trace, k).to_document()
+
+
+@settings(deadline=None)
+@given(law_traces())
+def test_report_matches_the_looped_verifier(case):
+    trace, k = case
+    assert quiet_verify(trace, k) == looped_report(trace, k)
+
+
+@pytest.mark.parametrize(
+    "key, status",
+    [(key, status) for key in ("i", "ii", "iii", "iv", "v", "vi") for status in ("pass", "fail")]
+    + [(key, "inconclusive") for key in ("iii", "iv", "v", "vi")],
+)
+def test_law_traces_reach_every_verdict(key, status):
+    # law_traces reaches every verdict of every item, so the oracle test
+    # above compares each of them
+    trace, k = find(
+        law_traces(),
+        lambda case: quiet_verify(*case)["items"][key]["status"] == status,
+        settings=settings(database=None, phases=[Phase.generate]),
+    )
+    assert quiet_verify(trace, k) == looped_report(trace, k)
 
 
 # ------------------------------------------------------------- scan checks

@@ -57,6 +57,22 @@ def test_merge_congruences_conflict():
         merge_congruences([(0, 4), (1, 2)])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: merge_congruences([(0, 0)]), "modulus must be >= 1"),
+        (
+            lambda: synthesize(JumpSchedule([AB]), prefixes={"A": [0], "B": [0, 1]}),
+            "each prefix needs at least a_0 and a_1",
+        ),
+    ],
+    ids=["modulus-0", "one-term-prefix"],
+)
+def test_synth_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_merge_congruences_single():
     assert merge_congruences([(5, 7)]) == (5, 7)
 
