@@ -15,7 +15,7 @@ from itertools import groupby, repeat, takewhile
 
 from .cf_engine import PartialQuotientSource
 from .errors import ComparisonUndecided
-from .psi import level_handle, strictly_below
+from .psi import ApproximationError, level_handle, strictly_below
 
 DEFAULT_DEPTH_LIMIT = 64
 OrderVector = tuple  # tuple of labels, largest value first
@@ -123,12 +123,15 @@ def _integer(value, what: str) -> int:
 
 
 def _labels(value, what: str) -> tuple:
-    """A JSON list of string labels, as a tuple."""
+    """A JSON list of distinct string labels, as a tuple."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list, not {type(value).__name__}")
     if not all(map(isinstance, value, repeat(str))):
         label = next(label for label in value if not isinstance(label, str))
         raise ValueError(f"trace label {label!r} is not a string")
+    if len(set(value)) < len(value):
+        label = next(label for i, label in enumerate(value) if label in value[:i])
+        raise ValueError(f"{what} repeats label {label!r}")
     return tuple(value)
 
 
@@ -187,8 +190,7 @@ def _by_ends(x, y) -> int:
 
 
 def _key(handle) -> float:
-    """The handle's lo as a float, computed with hi's on the first sort of
-    its ends and then kept on them."""
+    """The handle's lo as a float, computed with hi's once per ends."""
     ends = handle.ends
     if ends.lo_key is None:
         ends.lo_key = ends.lo_num / ends.lo_den
@@ -199,11 +201,6 @@ def _key(handle) -> float:
 def _sort_and_test(handles: list) -> list:
     """Sort stably into descending (lo, hi) and return the indices i whose
     adjacent pair (i, i + 1) is not certified apart (see _certify)."""
-    if len(handles) < 3:
-        handles.sort(key=cmp_to_key(_by_ends), reverse=True)
-        return [
-            i for i in range(len(handles) - 1) if not strictly_below(handles[i + 1], handles[i])
-        ]
     handles.sort(key=_key, reverse=True)
     ends = [e.ends for e in handles]
     if len({x.lo_key for x in ends}) < len(ends):
@@ -240,7 +237,11 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     undecided.  Every certification runs here, so this is where a negative
     depth_limit is refused.
 
-    With three or more handles the sort reads float keys: lo and hi rounded
+    Two handles a, b need no sort: strictly_below(b, a) or, swapped,
+    strictly_below(a, b) certifies them; else one _by_ends call puts them in
+    the sort's order before they are reported or refined, with no float key.
+
+    Any other number of handles is sorted on float keys: lo and hi rounded
     to the nearest float, computed once per bracket ends.  CPython divides
     int by int with correct rounding, so a key never decreases as the exact
     value grows.  Distinct keys therefore order the handles as their exact
@@ -248,12 +249,26 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     gives the same stable order as sorting all of them with it.  For the
     same reason hi_key(lower) < lo_key(upper) certifies a pair without a
     cross-product; any other pair goes to strictly_below.  Values below
-    2**-1074, as in extremal windows, all round to 0.0, so they form one tie
-    run and take the exact path.  Two handles take one _by_ends and one
-    strictly_below call, cheaper than dividing their ends.
+    2**-1074, as in extremal windows, all round to 0.0 and take the exact
+    path as one tie run.
     """
     _check_depth_limit(depth_limit)
     rounds = 0
+    if len(handles) == 2:
+        a, b = handles
+        while not strictly_below(b, a):
+            if strictly_below(a, b):
+                a, b = b, a
+                break
+            if _by_ends(a, b) < 0:
+                a, b = b, a
+            if rounds >= depth_limit:
+                raise ComparisonUndecided(t, (a.label, b.label), rounds)
+            a.refine(1)
+            b.refine(1)
+            rounds += 1
+        handles[:] = a, b
+        return a.label, b.label
     while True:
         overlapping = _sort_and_test(handles)
         if not overlapping:
@@ -303,10 +318,14 @@ def change_trace(
     jumping members get fresh handles, and every other member keeps its
     handle and depth.  Their values have not moved, and their brackets were
     pairwise disjoint at the previous event, so only pairs with a fresh
-    handle can overlap.  depth_limit bounds the refinement rounds at each
-    event counted from the depths the handles already have, not from fresh
-    handles.  The header is left empty, since a synthesized member's spec
-    can pass the 4300-digit guard of int to str; the trace command writes it.
+    handle can overlap.  A jumper's fresh handle is at its next level, with
+    no level search: from start >= q_2 on, each member's denominators
+    strictly increase, so its events are its next levels in turn.  They are
+    built in jumping order: the first member to run out raises.  depth_limit
+    bounds the refinement rounds at each event counted from the depths the
+    handles already have, not from fresh handles.  The header is left
+    empty, since a synthesized member's spec can pass the 4300-digit guard
+    of int to str; the trace command writes it.
     """
     if ftuple.n < 2:
         raise ValueError("dynamics need at least two members")
@@ -317,18 +336,18 @@ def change_trace(
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
     start = clamp_start(ftuple, t0)
-    sources = dict(ftuple.members)
     handles = [level_handle(source, start, label) for label, source in ftuple.members]
+    held = {e.label: e for e in handles}
     v0 = current = _certify(handles, start, depth_limit)
     events = iter_events(ftuple, start)
     if horizon is not None:
         events = takewhile(lambda event: event.t <= horizon, events)
     moments = []
     while len(moments) != count and (event := next(events, None)) is not None:
-        fresh = {
-            label: level_handle(sources[label], event.t, label) for label in event.jumping
-        }
-        handles = [fresh.get(e.label, e) for e in handles]
+        for label in event.jumping:
+            e = held[label]
+            held[label] = ApproximationError(e.source, e.m + 1, label)
+        handles = [held[e.label] for e in handles]
         vector = _certify(handles, event.t, depth_limit)
         if vector != current:
             moments.append(ChangeMoment(event.t, vector, event.jumping))

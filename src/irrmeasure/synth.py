@@ -237,7 +237,8 @@ def _primorial(bound):
     return math.prod(n for n in range(bound) if is_prime[n])
 
 
-_SMALL_PRIME_PRODUCT = _primorial(2000)
+_SMALL_PRIME_BOUND = 2000
+_SMALL_PRIME_PRODUCT = _primorial(_SMALL_PRIME_BOUND)
 
 
 def _solve_event(congruences, lower_bound, search_bound, owned, small, divisors):
@@ -251,17 +252,17 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small, divisors)
     coprime to that member's modulus, and stepping by the merged modulus
     escapes any prime outside it.
 
-    small, the product of the primes below 2000 dividing some owned q (the
-    gcd of their product with the primorial), rejects most candidates, and
-    only ones sharing a prime with an owned q.  A survivor is tested against
-    each owned q but the event's moduli: a member's congruence
-    Q = q_prev (mod q) gives gcd(Q, q) = gcd(q_prev, q) = 1, as consecutive
-    convergent denominators are coprime, user prefixes included, since they
-    are ExplicitSource terms.  Q is coprime to every owned q exactly when it
-    is coprime to their product, so these tests accept the candidates one
-    gcd against that product would, in the same order: the same least Q
-    comes back and search_bound counts the same candidates.  Each test is
-    gcd(q, Q mod q), with the reduction through divisors.
+    small, the product of the primes below 2000 dividing some owned q,
+    rejects most candidates, and only ones sharing a prime with an owned q;
+    it settles each owned q < 2000, whose primes all divide it.  A survivor
+    is tested against each larger owned q but the event's moduli: a
+    member's congruence Q = q_prev (mod q) gives gcd(Q, q) =
+    gcd(q_prev, q) = 1, as consecutive convergent denominators are coprime,
+    user prefixes included, since they are ExplicitSource terms.  Q is
+    coprime to every owned q exactly when it is coprime to their product,
+    so these tests accept the candidates one gcd against that product
+    would, in the same order: the same least Q comes back and search_bound
+    counts the same candidates; each test reduces Q mod q through divisors.
 
     Returns Q, the merge's steps and u = (Q - r) / M for the merged (r, M),
     counted along the search rather than divided out.
@@ -273,7 +274,7 @@ def _solve_event(congruences, lower_bound, search_bound, owned, small, divisors)
         u = (lower_bound - r + m - 1) // m
         r += u * m
     moduli = {modulus for _, modulus in congruences}
-    others = [q for q in owned if q not in moduli]
+    others = [q for q in owned if q >= _SMALL_PRIME_BOUND and q not in moduli]
     for _ in range(search_bound):
         if math.gcd(r, small) == 1 and all(
             math.gcd(q, divisors.mod(r, q)) == 1 for q in others

@@ -13,16 +13,23 @@ The helpers at the end are the package's former test-only members: bracket
 set relations and scaling, the convergent determinant, inverse pair
 indexing, pi's canonical predecessor, the jump count tau and a member's
 event positions in a synthesis.  They too never touch psi.
+
+sorted_certify is the certification loop as it ran on fewer than three
+handles before pairs were decided directly: it compares psi handles, so it
+checks the pair loop's control flow, not the comparisons it shares.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 from mpmath import mp, mpf
 
 from irrmeasure.cf_engine import PartialQuotientSource, RationalBracket, bracket
-from irrmeasure.errors import IndexOutOfRange, IrrMeasureError
+from irrmeasure.errors import ComparisonUndecided, IndexOutOfRange, IrrMeasureError
+from irrmeasure.order_dynamics import _by_ends
+from irrmeasure.psi import strictly_below as handle_below
 from irrmeasure.triangle_perm import canonical_pairs, triangle_size
 
 mp.dps = 240
@@ -369,3 +376,23 @@ def member_events(result, label: str) -> list:
             if cert.label == label:
                 out.append((position, cert.cf_index))
     return out
+
+
+def sorted_certify(handles: list, t: int, depth_limit: int) -> tuple:
+    """Certify by a stable descending sort on _by_ends and a strictly_below
+    test of each adjacent pair, refining each handle of an overlapping pair
+    once per round; the first overlapping pair is reported at depth_limit."""
+    rounds = 0
+    while True:
+        handles.sort(key=cmp_to_key(_by_ends), reverse=True)
+        overlapping = [
+            i for i in range(len(handles) - 1) if not handle_below(handles[i + 1], handles[i])
+        ]
+        if not overlapping:
+            return tuple(e.label for e in handles)
+        if rounds >= depth_limit:
+            i = overlapping[0]
+            raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
+        for j in {j for i in overlapping for j in (i, i + 1)}:
+            handles[j].refine(1)
+        rounds += 1

@@ -873,6 +873,42 @@ def test_trace_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, detail):
     assert err == {"error": "ValueError", "detail": detail}
 
 
+def six_moment_trace(v0, repeat_in=None):
+    """A k = 2 trace of six moments over a, b, c, with one list repeating a
+    label: v0 as given, the third event's v or its jumping."""
+    vectors = [["c", "b", "a"], ["b", "c", "a"], ["b", "a", "c"]] * 2
+    events = [
+        {"t": str(10 * (i + 1)), "v": v, "jumping": [v[0], v[-1]]} for i, v in enumerate(vectors)
+    ]
+    if repeat_in is not None:
+        events[2][repeat_in] = ["b", "b", "a"] if repeat_in == "v" else ["c", "c"]
+    return {"header": {"t0": "1", "v0": v0}, "events": events}
+
+
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        (six_moment_trace(["a", "a", "b"]), "trace v0 repeats label 'a'"),
+        (six_moment_trace(["a", "b", "c"], "v"), "trace event v repeats label 'b'"),
+        (six_moment_trace(["a", "b", "c"], "jumping"), "trace event jumping repeats label 'c'"),
+    ],
+    ids=["v0", "v", "jumping"],
+)
+def test_trace_with_a_repeated_label_exits_2(tmp_path, capsys, doc, detail):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(doc))
+    assert main(["verify", "--trace", str(trace_path), "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": detail}
+
+
+def test_the_six_moment_trace_verifies_without_a_repeat(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(six_moment_trace(["a", "b", "c"])))
+    assert main(["verify", "--trace", str(trace_path), "--k", "2"]) == 0
+
+
 @pytest.mark.parametrize("sources", [5, [["a"]], [["a", 7]], [[1, "periodic:[1;|1]"]]])
 def test_export_of_a_trace_with_bad_sources_exits_2(tmp_path, capsys, sources):
     trace_path = tmp_path / "trace.json"

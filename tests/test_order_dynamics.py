@@ -11,7 +11,7 @@ import _oracle as oracle
 from _oracle import tau_at
 from irrmeasure import order_dynamics
 from irrmeasure.cf_engine import ExplicitSource, parse_source
-from irrmeasure.errors import ComparisonUndecided, HypothesisNotMet
+from irrmeasure.errors import ComparisonUndecided, HypothesisNotMet, SourceExhausted
 from irrmeasure.order_dynamics import (
     ChangeMoment,
     ChangeTrace,
@@ -455,3 +455,190 @@ def test_extremal_window_moments_are_pinned():
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "aecca3c514967047b851fb38882daffb1af1b796335d88adc2745ad629118f7d"
+
+
+# ------------------------------------ pair loop against the sorted loop
+
+
+def explicit_spec(terms):
+    return f"explicit:[0;{','.join(map(str, terms))}]"
+
+
+def periodic_spec(a0, pre, period):
+    return f"periodic:[{a0};{','.join(map(str, pre))}|{','.join(map(str, period))}]"
+
+
+quotients = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3)
+# seeds from a pool of four repeat often; explicit lists of up to 12
+# quotients run out within a few refinements
+pair_members = (
+    st.builds("seeded:{}:{}".format, st.integers(0, 3) | st.integers(4, 10**6), st.integers(2, 6))
+    | st.builds(periodic_spec, st.integers(0, 2), quotients | st.just([]), quotients)
+    | st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12).map(explicit_spec)
+)
+# two numbers sharing up to 30 quotients agree to about 2**-40 or closer,
+# and their short tails run out while they are being told apart
+near_ties = st.builds(
+    lambda prefix, tails: [explicit_spec(prefix + tail) for tail in tails],
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=30),
+    st.lists(st.lists(st.integers(min_value=1, max_value=5), max_size=6), min_size=2, max_size=2),
+)
+spec_pairs = (
+    st.lists(pair_members, min_size=2, max_size=2)
+    | pair_members.map(lambda spec: [spec, spec])
+    | near_ties
+)
+
+
+def snapshot(handle):
+    ends = handle.ends
+    return handle.m, handle.depth, ends.lo_num, ends.lo_den, ends.hi_num, ends.hi_den
+
+
+def certified_pair(certify, specs, t, depth_limit):
+    """certify's result on fresh handles a, b; the handle list's order when
+    it returns; each handle's final level, depth and ends by label."""
+    handles, order = [], None
+    try:
+        for label, spec in zip("ab", specs):
+            handles.append(level_handle(parse_source(spec), t, label))
+        result = certify(handles, t, depth_limit)
+        order = tuple(e.label for e in handles)
+    except ComparisonUndecided as exc:
+        result = "undecided", exc.t, exc.labels, exc.rounds
+    except SourceExhausted as exc:
+        result = "exhausted", exc.index, exc.available
+    return result, order, sorted((e.label,) + snapshot(e) for e in handles)
+
+
+# one of each outcome: kept, swapped, undecided after a swap, undecided for
+# one number, run out in a near-tie, run out with a_1 = 1
+PAIR_EXAMPLES = [
+    (["seeded:1:6", "seeded:2:6"], 5, 0, ("a", "b")),
+    (["seeded:1:6", "seeded:2:6"], 13, 0, ("b", "a")),
+    (["periodic:[1;|1]", "periodic:[1;|2]"], 10**6, 0, ("undecided", 10**6, ("b", "a"), 0)),
+    (["periodic:[1;|1]", "periodic:[1;|1]"], 2, 64, ("undecided", 2, ("a", "b"), 64)),
+    (
+        [explicit_spec([2] * 20 + [1]), explicit_spec([2] * 20 + [3])],
+        5,
+        64,
+        ("exhausted", 22, 22),
+    ),
+    ([explicit_spec([1, 2, 3]), explicit_spec([1, 2, 3, 4])], 1, 64, ("exhausted", 4, 4)),
+]
+
+
+@pytest.mark.parametrize("specs, t, depth_limit, result", PAIR_EXAMPLES)
+def test_pair_examples_reach_each_outcome(specs, t, depth_limit, result):
+    assert certified_pair(order_dynamics._certify, specs, t, depth_limit)[0] == result
+
+
+def with_pair_examples(test):
+    for specs, t, depth_limit, _ in PAIR_EXAMPLES:
+        test = example(specs, t, depth_limit)(test)
+    return test
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    spec_pairs,
+    st.integers(min_value=1, max_value=60) | st.integers(min_value=61, max_value=10**9),
+    st.integers(min_value=0, max_value=8) | st.just(64),
+)
+@with_pair_examples
+def test_pair_loop_matches_the_sorted_loop(specs, t, depth_limit):
+    expected = certified_pair(oracle.sorted_certify, specs, t, depth_limit)
+    assert certified_pair(order_dynamics._certify, specs, t, depth_limit) == expected
+
+
+# ------------------------------- fresh handles open at their next level
+
+
+def recorded_trace(ftuple, t0, count):
+    """change_trace's certify calls, each as (t, snapshot by label) taken
+    before it refines anything, and the labels of the fresh handles in the
+    order they were built; the error the trace raised, or None."""
+    calls, built = [], []
+    certify = order_dynamics._certify
+
+    def recording_certify(handles, t, depth_limit):
+        calls.append((t, {e.label: snapshot(e) for e in handles}))
+        return certify(handles, t, depth_limit)
+
+    def recording_handle(source, m, label):
+        built.append(label)
+        return ApproximationError(source, m, label)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(order_dynamics, "_certify", recording_certify)
+        patch.setattr(order_dynamics, "ApproximationError", recording_handle)
+        try:
+            change_trace(ftuple, t0, count)
+            error = None
+        except (ComparisonUndecided, SourceExhausted) as exc:
+            error = exc
+    return calls, built, error
+
+
+def check_fresh_handles(members, t0, count):
+    """Check that each jumper's fresh handle is level_handle's at the event,
+    on fresh sources.  Returns the labels of the handles built, those of
+    the certified events' jumpers, and the trace's error or None."""
+    calls, built, error = recorded_trace(FunctionTuple.build(members()), t0, count)
+    reference = FunctionTuple.build(members())
+    sources = dict(reference.members)
+    events = iter_events(reference, clamp_start(reference, t0))
+    jumped = []
+    for (t, handles), event in zip(calls[1:], events):
+        assert t == event.t
+        jumped += event.jumping
+        for label in event.jumping:
+            assert handles[label] == snapshot(level_handle(sources[label], t, label))
+    return built, jumped, error
+
+
+# members with a_1 = 1 (q_0 = q_1 = 1) among seeded ones
+trace_members = st.lists(
+    st.builds("seeded:{}:{}".format, st.integers(0, 10**6), st.integers(2, 6))
+    | st.builds(periodic_spec, st.integers(0, 2), quotients.map(lambda pre: [1] + pre), quotients)
+    | st.builds(periodic_spec, st.integers(0, 2), st.just([]), quotients.map(lambda p: [1] + p)),
+    min_size=2,
+    max_size=8,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    trace_members,
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=0, max_value=40),
+)
+def test_fresh_handles_open_at_the_level_of_their_event(specs, t0, count):
+    def members():
+        return ((f"s{i}", parse_source(spec)) for i, spec in enumerate(specs))
+
+    built, jumped, error = check_fresh_handles(members, t0, count)
+    # each certified event's jumpers get their handles in jumping order
+    assert built == jumped
+    assert not isinstance(error, SourceExhausted)
+
+
+# m1 runs out when its handle opens at t = 43, where m0 jumps too; m0's
+# handle at that event opens first when m0 is listed first
+SHARED_EXHAUSTION = {"m0": [0, 3, 3, 4, 1, 3, 1], "m1": [0, 1, 2, 3, 3, 1, 6]}
+
+
+@pytest.mark.parametrize("labels", [("m0", "m1"), ("m1", "m0")])
+def test_a_jumper_that_runs_out_raises_what_level_handle_raises(labels):
+    def members():
+        return ((label, ExplicitSource(SHARED_EXHAUSTION[label])) for label in labels)
+
+    built, jumped, error = check_fresh_handles(members, 1, 50)
+    ftuple = FunctionTuple.build(members())
+    event = next(e for e in iter_events(ftuple, clamp_start(ftuple, 1)) if e.t == 43)
+    assert event.jumping == labels
+    with pytest.raises(SourceExhausted) as expected:
+        level_handle(ExplicitSource(SHARED_EXHAUSTION["m1"]), 43, "m1")
+    assert (error.index, error.available) == (expected.value.index, expected.value.available)
+    # t = 43 is never certified; its jumpers up to m1 get handles in order
+    assert built == jumped + list(labels[: labels.index("m1") + 1])
