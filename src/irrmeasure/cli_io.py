@@ -402,7 +402,7 @@ def trace_document(config: RunConfig) -> dict:
 def cmd_trace(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
     config = merge_config(args, file_values)
-    if not config.sources:
+    if len(config.sources) < 2:
         raise ValueError("trace needs at least two sources")
     emit(canonical_json(trace_document(config)), config.out)
     return 0

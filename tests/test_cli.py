@@ -741,7 +741,7 @@ def test_exhausted_source_exits_4(capsys):
         (["psi", "--source", "rule:const:0", "--t", "5"], "rule 'const' needs a constant >= 1"),
         (["psi", "--source", "seeded:1:0", "--t", "5"], "quotient bound must be >= 1"),
         (["trace", "--count", "3"], "trace needs at least two sources"),
-        (["trace", "--sources", PHI, "--count", "3"], "dynamics need at least two members"),
+        (["trace", "--sources", PHI, "--count", "3"], "trace needs at least two sources"),
     ],
     ids=[
         "digits",
@@ -895,6 +895,28 @@ def six_moment_trace(v0, repeat_in=None):
     ids=["v0", "v", "jumping"],
 )
 def test_trace_with_a_repeated_label_exits_2(tmp_path, capsys, doc, detail):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(doc))
+    assert main(["verify", "--trace", str(trace_path), "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "at, event, detail",
+    [
+        (3, {"t": "5"}, "trace event t must increase: 5 follows 30"),
+        (3, {"t": "30"}, "trace event t must increase: 30 follows 30"),
+        (0, {"t": "1"}, "trace event t must increase: 1 follows 1"),
+        (2, {"v": ["b", "a", "d"]}, "trace event v ['b', 'a', 'd'] is not a permutation of v0"),
+        (2, {"v": ["b", "a"]}, "trace event v ['b', 'a'] is not a permutation of v0"),
+    ],
+    ids=["t-decreases", "t-repeats", "t-at-t0", "v-other-label", "v-missing-label"],
+)
+def test_trace_out_of_order_or_off_its_labels_exits_2(tmp_path, capsys, at, event, detail):
+    doc = six_moment_trace(["a", "b", "c"])
+    doc["events"][at].update(event)
     trace_path = tmp_path / "trace.json"
     trace_path.write_text(json.dumps(doc))
     assert main(["verify", "--trace", str(trace_path), "--k", "2"]) == 2

@@ -319,7 +319,7 @@ def test_change_trace_undecided_for_identical_pair():
 # --------------------------------------- integer scan against Fraction keys
 
 
-def certify_by_fractions(handles, t, depth_limit):
+def certify_by_fractions(handles, t, depth_limit, moved=()):
     """The moment loop's scan on Fraction (lo, hi) keys, kept as the oracle."""
     rounds = 0
     while True:
@@ -344,6 +344,8 @@ def outcome(call):
         return call()
     except ComparisonUndecided as exc:
         return exc.t, exc.labels, exc.rounds
+    except SourceExhausted as exc:
+        return exc.index, exc.available
     except HypothesisNotMet as exc:
         return str(exc)
 
@@ -561,7 +563,7 @@ def recorded_trace(ftuple, t0, count):
     calls, built = [], []
     certify = order_dynamics._certify
 
-    def recording_certify(handles, t, depth_limit):
+    def recording_certify(handles, t, depth_limit, moved=()):
         calls.append((t, {e.label: snapshot(e) for e in handles}))
         return certify(handles, t, depth_limit)
 
@@ -642,3 +644,103 @@ def test_a_jumper_that_runs_out_raises_what_level_handle_raises(labels):
     assert (error.index, error.available) == (expected.value.index, expected.value.available)
     # t = 43 is never certified; its jumpers up to m1 get handles in order
     assert built == jumped + list(labels[: labels.index("m1") + 1])
+
+
+# ------------------------- placed handles against the loop that sorted all
+
+
+def placed_member(spec):
+    """A source from a drawn member: a source spec, or a tail after
+    SHARED_PREFIX or UNDERFLOW_PREFIX."""
+    kind, value = spec
+    if kind == "spec":
+        return parse_source(value)
+    return ExplicitSource((SHARED_PREFIX if kind == "shared" else UNDERFLOW_PREFIX) + value)
+
+
+def placed_tuple(specs):
+    return FunctionTuple.build((f"p{i}", placed_member(spec)) for i, spec in enumerate(specs))
+
+
+def placed_trace(specs, t0, count, depth_limit, horizon):
+    """change_trace's trace or error, and each member's handle at the end
+    as a snapshot by label.  change_trace keeps one handle list, which it
+    hands to every _certify call and in which it puts each fresh handle."""
+    lists = []
+    certify = order_dynamics._certify
+
+    def recording_certify(handles, t, depth_limit, moved=()):
+        lists.append(handles)
+        return certify(handles, t, depth_limit, moved)
+
+    ftuple = placed_tuple(specs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(order_dynamics, "_certify", recording_certify)
+        result = outcome(lambda: change_trace(ftuple, t0, count, depth_limit, horizon))
+    return result, {e.label: snapshot(e) for e in lists[-1]} if lists else None
+
+
+def sorted_trace(specs, t0, count, depth_limit, horizon):
+    """The same from oracle.merged_trace."""
+    held = {}
+    ftuple = placed_tuple(specs)
+    result = outcome(lambda: oracle.merged_trace(ftuple, t0, count, depth_limit, horizon, held))
+    return result, {label: snapshot(e) for label, e in held.items()} if held else None
+
+
+placed_seeded = st.tuples(
+    st.just("spec"),
+    st.builds("seeded:{}:{}".format, st.integers(0, 10**6), st.integers(2, 6)),
+)
+placed_periodic = st.tuples(
+    st.just("spec"), st.builds(periodic_spec, st.integers(0, 2), quotients | st.just([]), quotients)
+)
+# members sharing 40 quotients, or with values below 2**-1100 whose float
+# keys are all 0.0; their tails run out if they must be told apart deeper
+placed_near_tie = st.tuples(
+    st.sampled_from(["shared", "underflow"]),
+    st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=16),
+)
+# a near-tie is one member in four
+placed_member_specs = placed_seeded | placed_periodic | placed_seeded | placed_near_tie
+# at most one explicit list that runs out, at a drawn place
+placed_specs = st.builds(
+    lambda members, runs_out, at: (members[:at] + runs_out + members[at:])[:15],
+    st.lists(placed_member_specs, min_size=3, max_size=15),
+    st.lists(
+        st.tuples(
+            st.just("spec"),
+            st.lists(st.integers(min_value=1, max_value=4), min_size=8, max_size=24).map(
+                explicit_spec
+            ),
+        ),
+        max_size=1,
+    ),
+    st.integers(min_value=0, max_value=15),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    placed_specs,
+    st.integers(min_value=1, max_value=60) | st.integers(min_value=61, max_value=10**6),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=8) | st.just(64),
+    st.integers(min_value=1, max_value=10**12) | st.just(2**1200),
+)
+# keys tied at 0.0 until the underflowing pair jumps, past 10**331
+@example(
+    [("underflow", [1, 2, 3, 1, 2, 2, 1, 3]), ("underflow", [3, 1, 1, 2, 2, 3, 1, 1]),
+     ("spec", "seeded:1:3")],
+    1, 10, 64, 2**1200,
+)
+# keys tied among the members that share 40 quotients; a moment at the horizon
+@example(
+    [("shared", [1, 4, 2, 3] * 3), ("shared", [2, 3, 1, 1] * 3), ("spec", "seeded:1:3"),
+     ("spec", "seeded:2:5")],
+    5, 20, 64, 70,
+)
+@example([("spec", "periodic:[1;|1]")] * 3, 1, 5, 3, 10**12)  # one number, undecided
+def test_placed_handles_match_the_sorted_loop(specs, t0, count, depth_limit, horizon):
+    expected = sorted_trace(specs, t0, count, depth_limit, horizon)
+    assert placed_trace(specs, t0, count, depth_limit, horizon) == expected
