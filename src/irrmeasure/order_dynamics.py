@@ -9,7 +9,6 @@ denominators.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import groupby, repeat, takewhile
@@ -212,73 +211,25 @@ def _key(handle) -> float:
     return ends.lo_key
 
 
-def _apart(lower, upper) -> bool:
-    """Certified: lower's bracket lies strictly below upper's (see _certify)."""
-    return lower.ends.hi_key < upper.ends.lo_key or strictly_below(lower, upper)
-
-
 def _sort_and_test(handles: list) -> list:
     """Sort stably into descending (lo, hi) and return the indices i whose
     adjacent pair (i, i + 1) is not certified apart (see _certify)."""
     handles.sort(key=_key, reverse=True)
-    if len({e.ends.lo_key for e in handles}) < len(handles):
+    ends = [e.ends for e in handles]
+    if len({x.lo_key for x in ends}) < len(ends):
         handles[:] = [
             e
             for _, run in groupby(handles, _key)
             for e in sorted(run, key=cmp_to_key(_by_ends), reverse=True)
         ]
-    return [i for i in range(len(handles) - 1) if not _apart(handles[i + 1], handles[i])]
-
-
-def _neg_lo_key(handle) -> float:
-    return -handle.ends.lo_key
-
-
-def _place_and_test(handles: list, moved: list) -> list | None:
-    """Take the moved handles out, bisect each back in by its float key and
-    return what _sort_and_test would: the indices i whose adjacent pair
-    (i, i + 1) is not certified apart.
-
-    The other handles are in descending (lo, hi) order already and each
-    adjacent pair of them is certified (see _certify), so the pairs tested
-    are those next to a moved handle and the pair that closes the gap each
-    one leaves.  That last pair is certified by transitivity: the handle
-    below the gap was apart from the one just above it, whose lo is at most
-    that of the handle above the gap.  It is tested all the same, so that
-    every adjacent pair stays a checked fact.
-
-    Returns None, with the handles as they were, when a moved key equals
-    any other key, so that bisect cannot tell the stable sort's order, or
-    when a gap's pair fails its test; the caller then sorts them all.
-    """
-    placed = handles[:]
-    uppers = []  # the handle just above each moved one as it is taken out
-    for e in moved:
-        i = placed.index(e)
-        del placed[i]
-        if i:
-            uppers.append(placed[i - 1])
-    for upper in uppers:
-        if upper not in moved:
-            i = placed.index(upper) + 1
-            if i < len(placed) and not _apart(placed[i], upper):
-                return None
-    for e in moved:
-        key = _key(e)
-        i = bisect_left(placed, -key, key=_neg_lo_key)
-        if i < len(placed) and placed[i].ends.lo_key == key:
-            return None
-        placed.insert(i, e)
-    handles[:] = placed
-    last = len(placed) - 1
-    overlapping = set()
-    for e in moved:
-        i = placed.index(e)
-        if i and not _apart(e, placed[i - 1]):
-            overlapping.add(i - 1)
-        if i < last and not _apart(placed[i + 1], e):
-            overlapping.add(i)
-    return sorted(overlapping)
+        ends = [e.ends for e in handles]
+    return [
+        i
+        for i in range(len(ends) - 1)
+        if not (
+            ends[i + 1].hi_key < ends[i].lo_key or strictly_below(handles[i + 1], handles[i])
+        )
+    ]
 
 
 def _check_depth_limit(depth_limit: int) -> None:
@@ -287,16 +238,13 @@ def _check_depth_limit(depth_limit: int) -> None:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
 
 
-def _certify(
-    handles: list, t: int, depth_limit: int, moved: tuple | list = ()
-) -> OrderVector:
-    """Order the handles by strictly decreasing value and return the labels.
+def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
+    """Sort the handles into strictly decreasing value and return the labels.
 
     Every adjacent pair ends certified by disjoint brackets.  Each round
     refines every handle that sits in an overlapping adjacent pair once,
-    however many such pairs it sits in, and orders the list again as a
-    stable sort, descending on (lo, hi), would: equal brackets keep their
-    order.
+    however many such pairs it sits in, and re-sorts.  The sort is stable
+    and descending on (lo, hi), so equal brackets keep their order.
     depth_limit bounds the rounds counted from the depths the handles come
     in with; when it is reached, the first overlapping pair is reported
     undecided.  Every certification runs here, so this is where a negative
@@ -306,7 +254,7 @@ def _certify(
     strictly_below(a, b) certifies them; else one _by_ends call puts them in
     the sort's order before they are reported or refined, with no float key.
 
-    Any other number of handles is ordered on float keys: lo and hi rounded
+    Any other number of handles is sorted on float keys: lo and hi rounded
     to the nearest float, computed once per bracket ends.  CPython divides
     int by int with correct rounding, so a key never decreases as the exact
     value grows.  Distinct keys therefore order the handles as their exact
@@ -316,14 +264,6 @@ def _certify(
     cross-product; any other pair goes to strictly_below.  Values below
     2**-1074, as in extremal windows, all round to 0.0 and take the exact
     path as one tie run.
-
-    moved lists the handles that took the place of others since the list
-    was last certified, as change_trace's fresh handles do, so that every
-    adjacent pair of the rest is still certified.  No round then sorts:
-    _place_and_test bisects the moved handles, and in each later round the
-    ones just refined, back into the order of the rest.  A first round with
-    no moved handles sorts them all, and so does a round in which a moved
-    key equals another key.
     """
     _check_depth_limit(depth_limit)
     rounds = 0
@@ -343,18 +283,14 @@ def _certify(
         handles[:] = a, b
         return a.label, b.label
     while True:
-        overlapping = _place_and_test(handles, moved) if moved else None
-        if overlapping is None:
-            overlapping = _sort_and_test(handles)
+        overlapping = _sort_and_test(handles)
         if not overlapping:
-            return tuple([e.label for e in handles])
+            return tuple(e.label for e in handles)
         if rounds >= depth_limit:
             i = overlapping[0]
             raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
-        moved = []
         for j in {j for i in overlapping for j in (i, i + 1)}:
             handles[j].refine(1)
-            moved.append(handles[j])
         rounds += 1
 
 
@@ -398,12 +334,12 @@ def change_trace(
     read for this: the handle has read q_{m+2} already.  Only the jumpers
     get fresh handles, and every other member keeps its handle and depth.
     Their values have not moved, and their brackets were pairwise disjoint
-    at the previous event, so _certify takes the list in its last certified
-    order with the fresh handles in place, and places only those.  A
-    jumper's fresh handle is at its next level, with no level search: from
-    start >= q_2 on, each member's denominators strictly increase, so its
-    events are its next levels in turn.  They are built in tuple order: the
-    first member to run out raises.  depth_limit
+    at the previous event, so only pairs with a fresh handle can overlap;
+    _certify gets the list in its last certified order with the fresh
+    handles in place.  A jumper's fresh handle is at its next level, with
+    no level search: from start >= q_2 on, each member's denominators
+    strictly increase, so its events are its next levels in turn.  They are
+    built in tuple order: the first member to run out raises.  depth_limit
     bounds the refinement rounds at each event counted from the depths the
     handles already have, not from fresh handles.  The header is left
     empty, since a synthesized member's spec can pass the 4300-digit guard
@@ -427,16 +363,16 @@ def change_trace(
         t = min(floors)
         if horizon is not None and t > horizon:
             break
-        fresh = []
+        jumping = []
         for i, q in enumerate(floors):
             if q == t:
                 e = held[i]
                 held[i] = new = ApproximationError(e.source, e.m + 1, e.label)
                 floors[i] = new.floor
                 handles[handles.index(e)] = new
-                fresh.append(new)
-        vector = _certify(handles, t, depth_limit, fresh)
+                jumping.append(e.label)
+        vector = _certify(handles, t, depth_limit)
         if vector != current:
-            moments.append(ChangeMoment(t, vector, tuple(e.label for e in fresh)))
+            moments.append(ChangeMoment(t, vector, tuple(jumping)))
             current = vector
     return ChangeTrace(start, v0, tuple(moments))

@@ -27,10 +27,9 @@ class _BracketEnds:
     share this object, so they share one lo and one hi Fraction too.
 
     lo_key and hi_key are lo and hi as correctly rounded floats.  lo_key
-    is None, and hi_key unset, until order_dynamics._certify first orders
-    three or more handles, one with these ends, by a sort or by bisect into
-    an order already certified; psi_at and psi_left_limit never compute
-    them.
+    is None, and hi_key unset, until order_dynamics._certify first sorts
+    three or more handles, one with these ends; psi_at and psi_left_limit
+    never compute them.
     """
 
     __slots__ = ("lo_num", "lo_den", "hi_num", "hi_den", "_bracket", "lo_key", "hi_key")

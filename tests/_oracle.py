@@ -17,16 +17,16 @@ event positions in a synthesis.  They too never touch psi.
 sorted_certify is the certification loop as it ran on fewer than three
 handles before pairs were decided directly: it compares psi handles, so it
 checks the pair loop's control flow, not the comparisons it shares.
-float_key_certify and merged_trace are, in the same way, the loop that
-certified three or more handles by sorting them all every round and the
-moment loop that drove it from the merged event stream.
+merged_trace is, in the same way, the moment loop as it ran on the merged
+event stream: it checks where change_trace finds its events and which
+handles it renews, and shares _certify with it.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby, takewhile
+from itertools import takewhile
 
 from mpmath import mp, mpf
 
@@ -36,7 +36,7 @@ from irrmeasure.order_dynamics import (
     ChangeMoment,
     ChangeTrace,
     _by_ends,
-    _key,
+    _certify,
     clamp_start,
     iter_events,
 )
@@ -409,50 +409,15 @@ def sorted_certify(handles: list, t: int, depth_limit: int) -> tuple:
         rounds += 1
 
 
-def float_key_certify(handles: list, t: int, depth_limit: int) -> tuple:
-    """Certify three or more handles by sorting them all every round: a
-    stable descending sort on float keys with each run of equal keys
-    re-sorted by _by_ends, a test of every adjacent pair, the first
-    overlapping pair reported at depth_limit, else each handle of an
-    overlapping pair refined once."""
-    rounds = 0
-    while True:
-        handles.sort(key=_key, reverse=True)
-        ends = [e.ends for e in handles]
-        if len({x.lo_key for x in ends}) < len(ends):
-            handles[:] = [
-                e
-                for _, run in groupby(handles, _key)
-                for e in sorted(run, key=cmp_to_key(_by_ends), reverse=True)
-            ]
-            ends = [e.ends for e in handles]
-        overlapping = [
-            i
-            for i in range(len(ends) - 1)
-            if not (
-                ends[i + 1].hi_key < ends[i].lo_key or handle_below(handles[i + 1], handles[i])
-            )
-        ]
-        if not overlapping:
-            return tuple(e.label for e in handles)
-        if rounds >= depth_limit:
-            i = overlapping[0]
-            raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
-        for j in {j for i in overlapping for j in (i, i + 1)}:
-            handles[j].refine(1)
-        rounds += 1
-
-
 def merged_trace(ftuple, t0: int, count: int, depth_limit: int, horizon: int, held: dict):
-    """change_trace of three or more members as it ran on iter_events:
-    each event's jumpers, in the order the heap gives them, get handles at
-    their next level, and float_key_certify orders the kept list with them
-    in place.  held receives each member's current handle by label, also
-    when the trace raises."""
+    """change_trace as it ran on iter_events: each event's jumpers, in the
+    order the heap gives them, get handles at their next level, and
+    _certify orders the kept list with them in place.  held receives each
+    member's current handle by label, also when the trace raises."""
     start = clamp_start(ftuple, t0)
     handles = [level_handle(source, start, label) for label, source in ftuple.members]
     held.update((e.label, e) for e in handles)
-    v0 = current = float_key_certify(handles, start, depth_limit)
+    v0 = current = _certify(handles, start, depth_limit)
     events = takewhile(lambda event: event.t <= horizon, iter_events(ftuple, start))
     moments = []
     while len(moments) != count and (event := next(events, None)) is not None:
@@ -460,7 +425,7 @@ def merged_trace(ftuple, t0: int, count: int, depth_limit: int, horizon: int, he
             e = held[label]
             held[label] = ApproximationError(e.source, e.m + 1, label)
         handles = [held[e.label] for e in handles]
-        vector = float_key_certify(handles, event.t, depth_limit)
+        vector = _certify(handles, event.t, depth_limit)
         if vector != current:
             moments.append(ChangeMoment(event.t, vector, event.jumping))
             current = vector

@@ -319,7 +319,7 @@ def test_change_trace_undecided_for_identical_pair():
 # --------------------------------------- integer scan against Fraction keys
 
 
-def certify_by_fractions(handles, t, depth_limit, moved=()):
+def certify_by_fractions(handles, t, depth_limit):
     """The moment loop's scan on Fraction (lo, hi) keys, kept as the oracle."""
     rounds = 0
     while True:
@@ -563,7 +563,7 @@ def recorded_trace(ftuple, t0, count):
     calls, built = [], []
     certify = order_dynamics._certify
 
-    def recording_certify(handles, t, depth_limit, moved=()):
+    def recording_certify(handles, t, depth_limit):
         calls.append((t, {e.label: snapshot(e) for e in handles}))
         return certify(handles, t, depth_limit)
 
@@ -646,10 +646,10 @@ def test_a_jumper_that_runs_out_raises_what_level_handle_raises(labels):
     assert built == jumped + list(labels[: labels.index("m1") + 1])
 
 
-# ------------------------- placed handles against the loop that sorted all
+# ------------------- events off the held handles against the merged stream
 
 
-def placed_member(spec):
+def drawn_member(spec):
     """A source from a drawn member: a source spec, or a tail after
     SHARED_PREFIX or UNDERFLOW_PREFIX."""
     kind, value = spec
@@ -658,55 +658,56 @@ def placed_member(spec):
     return ExplicitSource((SHARED_PREFIX if kind == "shared" else UNDERFLOW_PREFIX) + value)
 
 
-def placed_tuple(specs):
-    return FunctionTuple.build((f"p{i}", placed_member(spec)) for i, spec in enumerate(specs))
+def drawn_tuple(specs):
+    return FunctionTuple.build((f"p{i}", drawn_member(spec)) for i, spec in enumerate(specs))
 
 
-def placed_trace(specs, t0, count, depth_limit, horizon):
+def held_trace(specs, t0, count, depth_limit, horizon):
     """change_trace's trace or error, and each member's handle at the end
     as a snapshot by label.  change_trace keeps one handle list, which it
     hands to every _certify call and in which it puts each fresh handle."""
     lists = []
     certify = order_dynamics._certify
 
-    def recording_certify(handles, t, depth_limit, moved=()):
+    def recording_certify(handles, t, depth_limit):
         lists.append(handles)
-        return certify(handles, t, depth_limit, moved)
+        return certify(handles, t, depth_limit)
 
-    ftuple = placed_tuple(specs)
+    ftuple = drawn_tuple(specs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(order_dynamics, "_certify", recording_certify)
         result = outcome(lambda: change_trace(ftuple, t0, count, depth_limit, horizon))
     return result, {e.label: snapshot(e) for e in lists[-1]} if lists else None
 
 
-def sorted_trace(specs, t0, count, depth_limit, horizon):
+def merged_trace(specs, t0, count, depth_limit, horizon):
     """The same from oracle.merged_trace."""
     held = {}
-    ftuple = placed_tuple(specs)
+    ftuple = drawn_tuple(specs)
     result = outcome(lambda: oracle.merged_trace(ftuple, t0, count, depth_limit, horizon, held))
     return result, {label: snapshot(e) for label, e in held.items()} if held else None
 
 
-placed_seeded = st.tuples(
+drawn_seeded = st.tuples(
     st.just("spec"),
     st.builds("seeded:{}:{}".format, st.integers(0, 10**6), st.integers(2, 6)),
 )
-placed_periodic = st.tuples(
-    st.just("spec"), st.builds(periodic_spec, st.integers(0, 2), quotients | st.just([]), quotients)
+drawn_periodic = st.tuples(
+    st.just("spec"),
+    st.builds(periodic_spec, st.integers(0, 2), quotients | st.just([]), quotients),
 )
 # members sharing 40 quotients, or with values below 2**-1100 whose float
 # keys are all 0.0; their tails run out if they must be told apart deeper
-placed_near_tie = st.tuples(
+drawn_near_tie = st.tuples(
     st.sampled_from(["shared", "underflow"]),
     st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=16),
 )
 # a near-tie is one member in four
-placed_member_specs = placed_seeded | placed_periodic | placed_seeded | placed_near_tie
+drawn_member_specs = drawn_seeded | drawn_periodic | drawn_seeded | drawn_near_tie
 # at most one explicit list that runs out, at a drawn place
-placed_specs = st.builds(
+drawn_specs = st.builds(
     lambda members, runs_out, at: (members[:at] + runs_out + members[at:])[:15],
-    st.lists(placed_member_specs, min_size=3, max_size=15),
+    st.lists(drawn_member_specs, min_size=3, max_size=15),
     st.lists(
         st.tuples(
             st.just("spec"),
@@ -722,7 +723,7 @@ placed_specs = st.builds(
 
 @settings(deadline=None, max_examples=150)
 @given(
-    placed_specs,
+    drawn_specs,
     st.integers(min_value=1, max_value=60) | st.integers(min_value=61, max_value=10**6),
     st.integers(min_value=0, max_value=30),
     st.integers(min_value=0, max_value=8) | st.just(64),
@@ -741,6 +742,6 @@ placed_specs = st.builds(
     5, 20, 64, 70,
 )
 @example([("spec", "periodic:[1;|1]")] * 3, 1, 5, 3, 10**12)  # one number, undecided
-def test_placed_handles_match_the_sorted_loop(specs, t0, count, depth_limit, horizon):
-    expected = sorted_trace(specs, t0, count, depth_limit, horizon)
-    assert placed_trace(specs, t0, count, depth_limit, horizon) == expected
+def test_events_off_held_handles_match_the_merged_stream(specs, t0, count, depth_limit, horizon):
+    expected = merged_trace(specs, t0, count, depth_limit, horizon)
+    assert held_trace(specs, t0, count, depth_limit, horizon) == expected
