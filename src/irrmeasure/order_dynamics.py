@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cmp_to_key
-from itertools import groupby, repeat, takewhile
+from functools import cmp_to_key, partial
+from itertools import chain, groupby, repeat, takewhile
+from operator import itemgetter, lt
+from typing import NamedTuple
 
 from .cf_engine import PartialQuotientSource
 from .errors import ComparisonUndecided
@@ -55,8 +57,19 @@ class JumpEvent:
     jumping: tuple
 
 
-@dataclass(frozen=True)
-class ChangeMoment:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class ChangeMoment(NamedTuple):
+    """One change of the order vector: the event t, the vector from t on,
+    and the labels that jump at t.
+
+    A named tuple, so a moment equals the plain tuple (t, vector, jumping)
+    and unpacks as one, and building it runs no per-field Python code.  The
+    dataclass decorator leaves construction, repr and equality to the tuple;
+    it keeps dataclasses.replace, fields and asdict working on a moment, and
+    assigning to a field raises FrozenInstanceError, as when moments were
+    frozen dataclasses.
+    """
+
     t: int
     vector: OrderVector
     jumping: tuple
@@ -81,17 +94,25 @@ class ChangeTrace:
         return {
             "header": header,
             "events": [
-                {
-                    "t": str(m.t),
-                    "v": list(m.vector),
-                    "jumping": list(m.jumping),
-                }
-                for m in self.moments
+                {"t": str(t), "v": list(vector), "jumping": list(jumping)}
+                for t, vector, jumping in self.moments
             ],
         }
 
     @classmethod
     def from_document(cls, doc: dict) -> "ChangeTrace":
+        """The trace a document holds, refused with ValueError or KeyError
+        unless it has the shape to_document writes.
+
+        Each event must be an object with an integer t (a JSON string or
+        number), a list v of exactly v0's labels and a list jumping of
+        distinct string labels, and t must increase from t0 on.  The events
+        are read column by column: every t, v and jumping is pulled out at
+        once and each check runs over a whole column with C-level maps, so
+        no Python code runs per event.  Only when some check fails are the
+        events read one by one, in order, to raise the error of the first
+        bad event.
+        """
         if not isinstance(doc, dict):
             raise ValueError(f"trace must be an object, not {type(doc).__name__}")
         header, events = doc["header"], doc["events"]
@@ -100,17 +121,63 @@ class ChangeTrace:
         if not isinstance(events, list):
             raise ValueError(f"trace events must be a list, not {type(events).__name__}")
         header = dict(header)
-        t = t0 = _integer(header.pop("t0"), "trace t0")
+        t0 = _integer(header.pop("t0"), "trace t0")
         v0 = _labels(header.pop("v0"), "trace v0")
         members = set(v0)
-        moments = []
-        for e in events:
-            moment = _moment(e, members)
-            if moment.t <= t:
-                raise ValueError(f"trace event t must increase: {moment.t} follows {t}")
-            t = moment.t
-            moments.append(moment)
-        return cls(t0, v0, tuple(moments), header)
+        moments = _read_events(events, t0, members)
+        if moments is None:
+            _refuse_first_bad_event(events, t0, members)
+        return cls(t0, v0, moments, header)
+
+
+_event_fields = itemgetter("t", "v", "jumping")
+# a moment from a (t, vector, jumping) tuple: ChangeMoment._make without its
+# length check, and with no Python frame
+_moment_of = partial(tuple.__new__, ChangeMoment)
+
+
+def _read_events(events: list, t0: int, members: set) -> tuple | None:
+    """The moments of a trace's events, or None if any event is bad.
+
+    Each check covers a whole column and accepts exactly what _moment and
+    the increase test of _refuse_first_bad_event accept: v has the length
+    of v0 and the same set of labels, so it is v0 permuted.
+    """
+    if not all(map(isinstance, events, repeat(dict))):
+        return None
+    try:
+        rows = list(map(_event_fields, events))
+    except KeyError:
+        return None
+    if not rows:
+        return ()
+    ts, vs, js = zip(*rows)
+    if not set(map(type, ts)) <= {str, int}:
+        return None
+    try:
+        ts = list(map(int, ts))
+    except ValueError:
+        return None
+    if not (
+        all(map(isinstance, chain(vs, js), repeat(list)))
+        and all(map(isinstance, chain.from_iterable(chain(vs, js)), repeat(str)))
+        and set(map(len, vs)) == {len(members)}
+        and all(map(members.__eq__, map(set, vs)))
+        and list(map(len, map(set, js))) == list(map(len, js))
+        and all(map(lt, [t0, *ts], ts))
+    ):
+        return None
+    return tuple(map(_moment_of, zip(ts, map(tuple, vs), map(tuple, js))))
+
+
+def _refuse_first_bad_event(events: list, t: int, members: set) -> None:
+    """Read the events one by one and raise the error of the first bad one."""
+    for e in events:
+        moment = _moment(e, members)
+        if moment.t <= t:
+            raise ValueError(f"trace event t must increase: {moment.t} follows {t}")
+        t = moment.t
+    raise AssertionError("the column checks refused events that read one by one")
 
 
 def _moment(e, members: set) -> ChangeMoment:

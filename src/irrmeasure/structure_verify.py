@@ -24,7 +24,8 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import ne
 
 from . import order_dynamics, triangle_perm
 from .cf_engine import PartialQuotientSource
@@ -153,7 +154,10 @@ def _first_failure(witnesses) -> ItemStatus:
 
 def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
     """Check items i..vi on a recorded trace at its finite horizon; each
-    item reports its first witness in moment order."""
+    item reports its first witness in moment order.  k < 1 is refused with
+    ValueError before the moments are read."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     moments = trace.moments
     if len(moments) < 2 * k + 1:
         raise ValueError(f"trace too short: need at least {2 * k + 1} moments")
@@ -225,11 +229,9 @@ def verify_structure(trace: ChangeTrace, k: int) -> VerificationReport:
     items["v"] = _first_failure(block_misses())
 
     # vi: each step is one application of the cyclic permutation
-    items["vi"] = _first_failure(
-        (moment.t, "vector is not pi(previous)")
-        for moment, previous, vector in zip(moments, vectors, vectors[1:])
-        if tuple(vector) != triangle_perm.apply_pi(k, previous)
-    )
+    stepped = map(triangle_perm.apply_pi, repeat(k), vectors)
+    breaks = compress(moments, map(ne, map(tuple, vectors[1:]), stepped))
+    items["vi"] = _first_failure((moment.t, "vector is not pi(previous)") for moment in breaks)
 
     # one permutation step per moment forces period k; a contradiction
     # here is a bug in this module, not in the trace

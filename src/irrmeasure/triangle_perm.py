@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import IndexOutOfRange, LengthMismatch
 
@@ -73,12 +74,29 @@ def position_permutation(k: int) -> list:
 
 
 def apply_pi(k: int, vector):
-    """One application of the permutation to a linearized vector."""
+    """One application of the permutation to a linearized vector, as a tuple.
+
+    vector may be any iterable (tuple() returns a tuple as it is).  k < 1
+    raises IndexOutOfRange and a length other than k(k+1)/2 raises
+    LengthMismatch, both before the table of k is looked up, so a huge k
+    builds no table.  The verifier calls this once per moment, so past
+    these checks it makes one cached lookup and one C-level call.
+    """
     n = triangle_size(k)
     vector = tuple(vector)
     if len(vector) != n:
         raise LengthMismatch(f"vector length {len(vector)} != {n} for k={k}")
-    return tuple(map(vector.__getitem__, _sigma(k)))
+    return _pull(k)(vector)
+
+
+@lru_cache(maxsize=16)
+def _pull(k: int):
+    """out[p] = in[sigma[p]] for a tuple of length k(k+1)/2, in one call.
+
+    An itemgetter of one index returns the item, not a 1-tuple, so k = 1,
+    where pi is the identity, takes tuple instead.
+    """
+    return itemgetter(*_sigma(k)) if k > 1 else tuple
 
 
 def pi_order(k: int) -> int:

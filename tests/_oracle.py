@@ -20,6 +20,10 @@ checks the pair loop's control flow, not the comparisons it shares.
 merged_trace is, in the same way, the moment loop as it ran on the merged
 event stream: it checks where change_trace finds its events and which
 handles it renews, and shares _certify with it.
+
+trace_from_document is ChangeTrace.from_document as it read events one by
+one, with its own copies of the label and integer checks, so it checks
+the column reader's verdict and message on every document.
 """
 
 import itertools
@@ -430,3 +434,52 @@ def merged_trace(ftuple, t0: int, count: int, depth_limit: int, horizon: int, he
             moments.append(ChangeMoment(event.t, vector, event.jumping))
             current = vector
     return ChangeTrace(start, v0, tuple(moments))
+
+
+def trace_from_document(doc) -> ChangeTrace:
+    """ChangeTrace.from_document as it read a document event by event."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"trace must be an object, not {type(doc).__name__}")
+    header, events = doc["header"], doc["events"]
+    if not isinstance(header, dict):
+        raise ValueError(f"trace header must be an object, not {type(header).__name__}")
+    if not isinstance(events, list):
+        raise ValueError(f"trace events must be a list, not {type(events).__name__}")
+    header = dict(header)
+    t = t0 = _document_integer(header.pop("t0"), "trace t0")
+    v0 = _document_labels(header.pop("v0"), "trace v0")
+    members = set(v0)
+    moments = []
+    for e in events:
+        if not isinstance(e, dict):
+            raise ValueError(f"trace event must be an object, not {type(e).__name__}")
+        moment = ChangeMoment(
+            _document_integer(e["t"], "trace event t"),
+            _document_labels(e["v"], "trace event v", members),
+            _document_labels(e["jumping"], "trace event jumping"),
+        )
+        if moment.t <= t:
+            raise ValueError(f"trace event t must increase: {moment.t} follows {t}")
+        t = moment.t
+        moments.append(moment)
+    return ChangeTrace(t0, v0, tuple(moments), header)
+
+
+def _document_integer(value, what: str) -> int:
+    if type(value) not in (str, int):
+        raise ValueError(f"{what} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def _document_labels(value, what: str, members: set | None = None) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    for label in value:
+        if not isinstance(label, str):
+            raise ValueError(f"trace label {label!r} is not a string")
+    for i, label in enumerate(value):
+        if label in value[:i]:
+            raise ValueError(f"{what} repeats label {label!r}")
+    if members is not None and set(value) != members:
+        raise ValueError(f"{what} {value} is not a permutation of v0")
+    return tuple(value)

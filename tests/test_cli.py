@@ -1,11 +1,14 @@
 """End-to-end command line behavior: formats, exit codes, reproducibility."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import stat
+import tempfile
 import time
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _oracle as oracle
+from _documents import trace_documents
 from irrmeasure import cli_io
 from irrmeasure.cf_engine import PartialQuotientSource
 from irrmeasure.cli_io import (
@@ -929,6 +933,70 @@ def test_the_six_moment_trace_verifies_without_a_repeat(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     trace_path.write_text(json.dumps(six_moment_trace(["a", "b", "c"])))
     assert main(["verify", "--trace", str(trace_path), "--k", "2"]) == 0
+
+
+@pytest.mark.parametrize("k", [-1, 0])
+@pytest.mark.parametrize("events", ["none", "six"])
+def test_verify_refuses_k_below_1(tmp_path, capsys, k, events):
+    doc = six_moment_trace(["a", "b", "c"])
+    if events == "none":
+        doc["events"] = []
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(doc))
+    assert main(["verify", "--trace", str(trace_path), "--k", str(k)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": f"k must be >= 1, got {k}"}
+
+
+def run_captured(argv):
+    """main(argv)'s exit code and stderr; argparse's exit is a code too."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+    return code, err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    trace_documents(),
+    st.sampled_from(["verify", "export"]),
+    st.sampled_from([2, 1, 0, -1, 2**64, None]),
+)
+@example({"header": {"t0": "2", "v0": ["a", "b"]}, "events": []}, "verify", -1)
+@example(
+    {
+        "header": {
+            "t0": "1",
+            "v0": ["a", "b"],
+            "sources": [["a", "periodic:[1;|1]"], ["b", "explicit:[1;2,3]"]],
+        },
+        "events": [{"t": "100", "v": ["b", "a"], "jumping": ["a"]}],
+    },
+    "export",
+    None,
+)
+def test_trace_commands_exit_with_a_documented_code(doc, command, number):
+    # verify takes the number as --k and export as --horizon, where None
+    # leaves the flag out
+    with tempfile.TemporaryDirectory() as directory:
+        trace_path = os.path.join(directory, "trace.json")
+        with open(trace_path, "w") as handle:
+            json.dump(doc, handle)
+        argv = [command, "--trace", trace_path, "--out", os.path.join(directory, "out")]
+        if command == "verify":
+            argv += ["--k", str(2 if number is None else number)]
+        elif number is not None:
+            argv += ["--horizon", str(number)]
+        code, err = run_captured(argv)
+    assert code in (0, 2, 3, 4, ("argparse", 2))
+    if code in (2, 3, 4):
+        assert err.endswith("\n")
+        last = json.loads(err.splitlines()[-1])
+        assert set(last) == {"error", "detail"} and isinstance(last["detail"], str)
 
 
 @pytest.mark.parametrize("sources", [5, [["a"]], [["a", 7]], [[1, "periodic:[1;|1]"]]])

@@ -1,6 +1,8 @@
 """Merged jump events, order vectors, and change traces."""
 
+import dataclasses
 import hashlib
+import json
 from itertools import islice, takewhile
 
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import pinned
 import _oracle as oracle
+from _documents import FAULTS, trace_documents
 from _oracle import tau_at
 from irrmeasure import order_dynamics
 from irrmeasure.cf_engine import ExplicitSource, parse_source
+from irrmeasure.cli_io import canonical_json
 from irrmeasure.errors import ComparisonUndecided, HypothesisNotMet, SourceExhausted
 from irrmeasure.order_dynamics import (
     ChangeMoment,
@@ -143,6 +147,88 @@ def test_trace_round_trip():
     assert again.v0 == trace.v0
     assert again.moments == trace.moments
     assert again.to_document() == doc
+
+
+@pytest.mark.parametrize(
+    "members, t0, count",
+    [
+        ((("phi", "periodic:[1;|1]"), ("rt2", "periodic:[1;|2]")), 2, 60),
+        (tuple((f"m{i:02d}", f"seeded:{700 + i}:{2 + i % 5}") for i in range(15)), 2, 40),
+    ],
+    ids=["phi-rt2", "fifteen"],
+)
+def test_moments_round_trip_through_canonical_json(members, t0, count):
+    ftuple = FunctionTuple.build((label, parse_source(spec)) for label, spec in members)
+    trace = change_trace(ftuple, t0, count)
+    text = canonical_json(trace.to_document())
+    again = ChangeTrace.from_document(json.loads(text))
+    assert (again.t0, again.v0, again.moments) == (trace.t0, trace.v0, trace.moments)
+    assert len(again.moments) == count
+    for moment, original in zip(again.moments, trace.moments):
+        assert type(moment) is ChangeMoment
+        assert type(moment.vector) is tuple and type(moment.jumping) is tuple
+        # a moment is the plain tuple of its fields, and shows its names
+        assert moment == (original.t, original.vector, original.jumping)
+        assert repr(moment) == (
+            f"ChangeMoment(t={original.t!r}, vector={original.vector!r}, "
+            f"jumping={original.jumping!r})"
+        )
+    assert canonical_json(again.to_document()) == text
+
+
+def test_a_moment_keeps_the_dataclass_api():
+    # perfbench/selftest.py corrupts moments with dataclasses.replace
+    moment = ChangeMoment(5, ("a", "b"), ("a",))
+    swapped = dataclasses.replace(moment, vector=("b", "a"))
+    assert type(swapped) is ChangeMoment and swapped == (5, ("b", "a"), ("a",))
+    assert [f.name for f in dataclasses.fields(moment)] == ["t", "vector", "jumping"]
+    assert dataclasses.asdict(moment) == {"t": 5, "vector": ("a", "b"), "jumping": ("a",)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        moment.t = 6
+
+
+def read_outcome(reader, doc):
+    """A reader's trace as its fields, or its error's type and message."""
+    try:
+        trace = reader(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return trace.t0, trace.v0, trace.moments, trace.header, type(trace.moments)
+
+
+# each fault gets its own examples, since hypothesis may draw one fault
+# only rarely in a run
+@pytest.mark.parametrize(
+    "fault", [None, *FAULTS], ids=lambda fault: fault.__name__.strip("_") if fault else "none"
+)
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_column_reader_matches_the_event_reader(fault, data):
+    doc = data.draw(trace_documents(fault))
+    assert read_outcome(ChangeTrace.from_document, doc) == read_outcome(
+        oracle.trace_from_document, doc
+    )
+
+
+def test_column_reader_reads_subclasses_as_the_event_reader_does():
+    # isinstance, not type, decides dict, list and str, as event by event
+    class Row(dict):
+        pass
+
+    class Labels(list):
+        pass
+
+    class Label(str):
+        pass
+
+    doc = {
+        "header": {"t0": "1", "v0": ["a", "b"]},
+        "events": [Row(t=2, v=Labels([Label("b"), "a"]), jumping=Labels([Label("b")]))],
+    }
+    assert read_outcome(ChangeTrace.from_document, doc) == read_outcome(
+        oracle.trace_from_document, doc
+    )
+    assert ChangeTrace.from_document(doc).moments == ((2, ("b", "a"), ("b",)),)
 
 
 def test_seeded_triple_distinct_vector_bound():

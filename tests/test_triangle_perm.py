@@ -76,6 +76,41 @@ def test_apply_pi_rejects_wrong_length():
         apply_pi(3, (1, 2, 3, 4))
 
 
+def slot_by_slot_pi(k, vector):
+    """pi read slot by slot off position_permutation: out[p] = in[sigma[p]]."""
+    vector = list(vector)
+    return tuple(vector[s] for s in position_permutation(k))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_apply_pi_reads_tuples_lists_and_generators_alike(k):
+    vector = tuple(f"x{i}" for i in range(triangle_size(k)))
+    expected = slot_by_slot_pi(k, vector)
+    for form in (vector, list(vector), iter(vector), (x for x in vector)):
+        got = apply_pi(k, form)
+        assert type(got) is tuple and got == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_apply_pi_refuses_a_short_or_a_long_vector(k):
+    n = triangle_size(k)
+    for length in (n - 1, n + 1):
+        with pytest.raises(LengthMismatch, match=f"^vector length {length} != {n} for k={k}$"):
+            apply_pi(k, range(length))
+
+
+@pytest.mark.parametrize("k", [0, -1, -7])
+def test_apply_pi_refuses_k_below_1_whatever_the_vector(k):
+    for vector in ((), (1,), range(3)):
+        with pytest.raises(IndexOutOfRange, match=f"^k must be >= 1, got {k}$"):
+            apply_pi(k, vector)
+
+
+def test_apply_pi_refuses_a_short_vector_at_a_huge_k_before_any_table():
+    with pytest.raises(LengthMismatch):
+        apply_pi(2**64, (1, 2, 3))
+
+
 @pytest.mark.parametrize("k", range(2, 17))
 def test_pi_has_order_k(k):
     assert pi_order(k) == k
