@@ -32,6 +32,7 @@ from .errors import (
     InfeasibleSchedule,
     IrrMeasureError,
     SourceExhausted,
+    required,
 )
 from .order_dynamics import (
     ChangeTrace,
@@ -477,7 +478,7 @@ def staircase_rows(ftuple: FunctionTuple, t_points):
 
 def tuple_from_header(header: dict) -> FunctionTuple:
     """Rebuild the function tuple recorded in a trace header."""
-    sources = header["sources"]
+    sources = required(header, "sources", "trace header")
     if not isinstance(sources, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
         for pair in sources
@@ -493,6 +494,11 @@ def export_staircase(subject, path: str | None, horizon: int | None = None) -> i
         raise ValueError("horizon must be >= 1")
     if isinstance(subject, ChangeTrace):
         ftuple = tuple_from_header(subject.header)
+        if set(ftuple.labels) != set(subject.v0):
+            raise ValueError(
+                f"trace header sources name {list(ftuple.labels)}, not the labels of v0 "
+                f"{list(subject.v0)}"
+            )
         times = [m.t for m in subject.moments]
         if horizon is not None:
             times = [t for t in times if t <= horizon]

@@ -6,6 +6,15 @@ precisely.
 """
 
 
+def required(doc: dict, key: str, what: str):
+    """doc[key]; a missing key raises a ValueError that names the document
+    (what) and the key, where a bare KeyError would name only the key."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} has no key {key!r}") from None
+
+
 class IrrMeasureError(Exception):
     """Base class for all package errors."""
 

@@ -16,7 +16,7 @@ from operator import itemgetter, lt
 from typing import NamedTuple
 
 from .cf_engine import PartialQuotientSource
-from .errors import ComparisonUndecided
+from .errors import ComparisonUndecided, required
 from .psi import ApproximationError, level_handle, strictly_below
 
 DEFAULT_DEPTH_LIMIT = 64
@@ -101,8 +101,8 @@ class ChangeTrace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "ChangeTrace":
-        """The trace a document holds, refused with ValueError or KeyError
-        unless it has the shape to_document writes.
+        """The trace a document holds, refused with ValueError unless it has
+        the shape to_document writes; a missing key is named in the message.
 
         Each event must be an object with an integer t (a JSON string or
         number), a list v of exactly v0's labels and a list jumping of
@@ -115,14 +115,15 @@ class ChangeTrace:
         """
         if not isinstance(doc, dict):
             raise ValueError(f"trace must be an object, not {type(doc).__name__}")
-        header, events = doc["header"], doc["events"]
+        header, events = required(doc, "header", "trace"), required(doc, "events", "trace")
         if not isinstance(header, dict):
             raise ValueError(f"trace header must be an object, not {type(header).__name__}")
         if not isinstance(events, list):
             raise ValueError(f"trace events must be a list, not {type(events).__name__}")
         header = dict(header)
-        t0 = _integer(header.pop("t0"), "trace t0")
-        v0 = _labels(header.pop("v0"), "trace v0")
+        t0 = _integer(required(header, "t0", "trace header"), "trace t0")
+        v0 = _labels(required(header, "v0", "trace header"), "trace v0")
+        del header["t0"], header["v0"]
         members = set(v0)
         moments = _read_events(events, t0, members)
         if moments is None:
@@ -185,9 +186,9 @@ def _moment(e, members: set) -> ChangeMoment:
     if not isinstance(e, dict):
         raise ValueError(f"trace event must be an object, not {type(e).__name__}")
     return ChangeMoment(
-        _integer(e["t"], "trace event t"),
-        _labels(e["v"], "trace event v", members),
-        _labels(e["jumping"], "trace event jumping"),
+        _integer(required(e, "t", "trace event"), "trace event t"),
+        _labels(required(e, "v", "trace event"), "trace event v", members),
+        _labels(required(e, "jumping", "trace event"), "trace event jumping"),
     )
 
 
@@ -299,6 +300,33 @@ def _sort_and_test(handles: list) -> list:
     ]
 
 
+def _retest_pair(handles: list, i: int) -> list | None:
+    """After the one overlapping pair (i, i + 1) was refined, order the two
+    by key and return the indices of the pairs i - 1, i, i + 1 that are
+    not certified apart; None, with nothing moved, unless their new keys
+    differ and lie strictly between the keys of handles i - 1 and i + 2."""
+    a, b = handles[i], handles[i + 1]
+    ka, kb = _key(a), _key(b)
+    if ka < kb:
+        a, b, ka, kb = b, a, kb, ka
+    n = len(handles)
+    if not (
+        kb < ka
+        and (i == 0 or ka < handles[i - 1].ends.lo_key)
+        and (i + 2 == n or handles[i + 2].ends.lo_key < kb)
+    ):
+        return None
+    handles[i], handles[i + 1] = a, b
+    return [
+        j
+        for j in range(max(i - 1, 0), min(i + 2, n - 1))
+        if not (
+            handles[j + 1].ends.hi_key < handles[j].ends.lo_key
+            or strictly_below(handles[j + 1], handles[j])
+        )
+    ]
+
+
 def _check_depth_limit(depth_limit: int) -> None:
     """Refuse a negative refinement budget with ValueError."""
     if depth_limit < 0:
@@ -331,6 +359,15 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
     cross-product; any other pair goes to strictly_below.  Values below
     2**-1074, as in extremal windows, all round to 0.0 and take the exact
     path as one tie run.
+
+    A round that found exactly one overlapping pair (i, i + 1) refines
+    those two handles only, so only their keys move.  If their new keys
+    differ and lie strictly between the keys of handles i - 1 and i + 2,
+    the stable sort would put the two in key order and leave every other
+    handle where it is, and every other adjacent pair was certified and
+    is unchanged; _retest_pair therefore re-tests only the pairs i - 1, i
+    and i + 1, with the same result as _sort_and_test.  Any other round
+    calls _sort_and_test.
     """
     _check_depth_limit(depth_limit)
     rounds = 0
@@ -349,16 +386,17 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
             rounds += 1
         handles[:] = a, b
         return a.label, b.label
-    while True:
-        overlapping = _sort_and_test(handles)
-        if not overlapping:
-            return tuple(e.label for e in handles)
+    overlapping = _sort_and_test(handles)
+    while overlapping:
         if rounds >= depth_limit:
             i = overlapping[0]
             raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
         for j in {j for i in overlapping for j in (i, i + 1)}:
             handles[j].refine(1)
         rounds += 1
+        local = _retest_pair(handles, overlapping[0]) if len(overlapping) == 1 else None
+        overlapping = _sort_and_test(handles) if local is None else local
+    return tuple(e.label for e in handles)
 
 
 def order_vector_at(

@@ -73,15 +73,19 @@ class ApproximationError:
         self.source = source
         self.m = m
         self.label = label
-        q_next = source.denominator(m + 1)
-        self.q = source._denominators[m]
-        if q_next == self.q:
+        qs = source._denominators
+        q_next = qs[m + 1] if len(qs) > m + 1 else source.denominator(m + 1)
+        self.q = q = qs[m]
+        if q_next == q:
             raise ValueError("level 0 is no staircase level when q_0 = q_1")
-        self.floor, self.ceil = q_next, q_next + self.q
+        q_deep = qs[m + 2] if len(qs) > m + 2 else source.denominator(m + 2)
+        self.floor, self.ceil = q_next, q_next + q
         # the first depth whose ends d = m+1, m+2 are both past m, so
-        # nonzero; refine() moves on from here
+        # nonzero; refine() moves on from here.  They are _ends_at(m + 3,
+        # m + 1, 0, 1): K_{m+2} = a_{m+2} over q_{m+2}, the lower end, and
+        # K_{m+1} = 1 over q_{m+1}
         self.depth = m + 3
-        self.ends = self._ends_at(self.depth, m + 1, 0, 1)
+        self.ends = _BracketEnds(source._terms[m + 2], q_deep, 1, q_next)
 
     @property
     def bracket(self) -> RationalBracket:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .cf_engine import ExplicitSource
-from .errors import InfeasibleSchedule, QuotientUnderflow
+from .errors import InfeasibleSchedule, QuotientUnderflow, required
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class JumpSchedule:
     def from_document(cls, doc: dict) -> "JumpSchedule":
         if not isinstance(doc, dict):
             raise ValueError(f"schedule must be an object, not {type(doc).__name__}")
-        events = doc["events"]
+        events = required(doc, "events", "schedule")
         if not isinstance(events, list):
             raise ValueError(f"schedule events must be a list, not {type(events).__name__}")
         for event in events:

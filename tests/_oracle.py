@@ -21,6 +21,10 @@ merged_trace is, in the same way, the moment loop as it ran on the merged
 event stream: it checks where change_trace finds its events and which
 handles it renews, and shares _certify with it.
 
+resorting_certify is _certify as it ran on three or more handles before a
+round that refined one pair re-tested only that pair: every round calls
+_sort_and_test on the whole list.
+
 trace_from_document is ChangeTrace.from_document as it read events one by
 one, with its own copies of the label and integer checks, so it checks
 the column reader's verdict and message on every document.
@@ -41,6 +45,7 @@ from irrmeasure.order_dynamics import (
     ChangeTrace,
     _by_ends,
     _certify,
+    _sort_and_test,
     clamp_start,
     iter_events,
 )
@@ -413,6 +418,26 @@ def sorted_certify(handles: list, t: int, depth_limit: int) -> tuple:
         rounds += 1
 
 
+def resorting_certify(handles: list, t: int, depth_limit: int) -> tuple:
+    """_certify with a full sort and scan after every round; two handles
+    go to _certify itself."""
+    if len(handles) == 2:
+        return _certify(handles, t, depth_limit)
+    if depth_limit < 0:
+        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+    rounds = 0
+    while True:
+        overlapping = _sort_and_test(handles)
+        if not overlapping:
+            return tuple(e.label for e in handles)
+        if rounds >= depth_limit:
+            i = overlapping[0]
+            raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
+        for j in {j for i in overlapping for j in (i, i + 1)}:
+            handles[j].refine(1)
+        rounds += 1
+
+
 def merged_trace(ftuple, t0: int, count: int, depth_limit: int, horizon: int, held: dict):
     """change_trace as it ran on iter_events: each event's jumpers, in the
     order the heap gives them, get handles at their next level, and
@@ -440,29 +465,36 @@ def trace_from_document(doc) -> ChangeTrace:
     """ChangeTrace.from_document as it read a document event by event."""
     if not isinstance(doc, dict):
         raise ValueError(f"trace must be an object, not {type(doc).__name__}")
-    header, events = doc["header"], doc["events"]
+    header, events = _document_key(doc, "header", "trace"), _document_key(doc, "events", "trace")
     if not isinstance(header, dict):
         raise ValueError(f"trace header must be an object, not {type(header).__name__}")
     if not isinstance(events, list):
         raise ValueError(f"trace events must be a list, not {type(events).__name__}")
     header = dict(header)
-    t = t0 = _document_integer(header.pop("t0"), "trace t0")
-    v0 = _document_labels(header.pop("v0"), "trace v0")
+    t = t0 = _document_integer(_document_key(header, "t0", "trace header"), "trace t0")
+    v0 = _document_labels(_document_key(header, "v0", "trace header"), "trace v0")
+    del header["t0"], header["v0"]
     members = set(v0)
     moments = []
     for e in events:
         if not isinstance(e, dict):
             raise ValueError(f"trace event must be an object, not {type(e).__name__}")
         moment = ChangeMoment(
-            _document_integer(e["t"], "trace event t"),
-            _document_labels(e["v"], "trace event v", members),
-            _document_labels(e["jumping"], "trace event jumping"),
+            _document_integer(_document_key(e, "t", "trace event"), "trace event t"),
+            _document_labels(_document_key(e, "v", "trace event"), "trace event v", members),
+            _document_labels(_document_key(e, "jumping", "trace event"), "trace event jumping"),
         )
         if moment.t <= t:
             raise ValueError(f"trace event t must increase: {moment.t} follows {t}")
         t = moment.t
         moments.append(moment)
     return ChangeTrace(t0, v0, tuple(moments), header)
+
+
+def _document_key(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise ValueError(f"{what} has no key {key!r}")
+    return doc[key]
 
 
 def _document_integer(value, what: str) -> int:

@@ -11,6 +11,7 @@ import stat
 import tempfile
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1074,3 +1075,140 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def test_export_refuses_sources_that_are_not_the_labels_of_v0(tmp_path, capsys):
+    doc = {
+        "header": {
+            "t0": "2",
+            "v0": ["a", "b"],
+            "sources": [["a", "periodic:[1;|1]"], ["c", "periodic:[1;|2]"]],
+        },
+        "events": [{"t": "3", "v": ["b", "a"], "jumping": ["b"]}],
+    }
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert main(["export", "--trace", str(trace_path), "--horizon", "50", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "detail": "trace header sources name ['a', 'c'], not the labels of v0 ['a', 'b']",
+    }
+
+
+TRACE = {"header": {**HEADER, "sources": [["a", "periodic:[1;|1]"]]}, "events": []}
+
+
+@pytest.mark.parametrize(
+    "command, doc, detail",
+    [
+        ("synth", {}, "schedule has no key 'events'"),
+        ("export", {"header": HEADER, "events": []}, "trace header has no key 'sources'"),
+        ("verify", {"header": HEADER}, "trace has no key 'events'"),
+        ("verify", {"events": []}, "trace has no key 'header'"),
+        ("verify", {"header": {"v0": ["a"]}, "events": []}, "trace header has no key 't0'"),
+        ("verify", {"header": {"t0": "1"}, "events": []}, "trace header has no key 'v0'"),
+        ("export", {**TRACE, "events": [{"t": "2", "v": ["a"]}]},
+         "trace event has no key 'jumping'"),
+    ],
+)
+def test_a_missing_key_is_named_with_its_document(tmp_path, capsys, command, doc, detail):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "synth": ["synth", "--schedule", json.dumps(doc)],
+        "export": ["export", "--trace", str(path)],
+        "verify": ["verify", "--trace", str(path), "--k", "1"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": detail}
+
+
+def check_documented_exit(argv):
+    code, err = run_captured(argv)
+    assert code in (0, 2, 3, 4, ("argparse", 2))
+    if code in (2, 3, 4):
+        assert err.endswith("\n")
+        last = json.loads(err.splitlines()[-1])
+        assert set(last) == {"error", "detail"} and isinstance(last["detail"], str)
+
+
+small = st.sampled_from(["-1", "0", "1", "2", "x", ""])
+presets = st.builds("extremal:k={}:cycles={}".format, small, small) | st.sampled_from(
+    ["extremal:", "extremal:k=2", "extremal:k=2:cycles=2:k=2", "extremal:k:cycles=1"]
+)
+
+
+def _schedule_fault(doc, fault):
+    events = doc.get("events") if isinstance(doc, dict) else None
+    if fault == "no-events" and isinstance(doc, dict):
+        doc.pop("events", None)
+    elif fault == "events-not-list" and isinstance(doc, dict):
+        doc["events"] = "ab"
+    elif fault == "event-not-list" and isinstance(events, list) and events:
+        events[0] = "a"
+    elif fault == "label" and isinstance(events, list) and events and isinstance(events[-1], list):
+        events[-1].append(7)
+    elif fault == "repeat" and isinstance(events, list) and events and isinstance(events[0], list):
+        events[0].append(events[0][0] if events[0] else "a")
+    elif fault == "empty-event" and isinstance(events, list):
+        events.append([])
+    elif fault == "no-event" and isinstance(doc, dict):
+        doc["events"] = []
+    elif fault == "bad-k" and isinstance(doc, dict):
+        doc["k"] = 1.5
+    elif fault == "not-object":
+        return [doc]
+    return doc
+
+
+schedule_faults = st.sampled_from(
+    ["no-events", "events-not-list", "event-not-list", "label", "repeat", "empty-event",
+     "no-event", "bad-k", "not-object"]
+)
+schedule_documents = st.builds(
+    lambda events, k, faults: json.dumps(
+        reduce(_schedule_fault, faults, {"events": events, "k": k})
+    ),
+    st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True),
+             min_size=1, max_size=4),
+    st.sampled_from([None, 2, 3]),
+    st.lists(schedule_faults, max_size=3),
+)
+config_lines = st.lists(
+    st.sampled_from(["t0", "count", "horizon", "depth_limit"]).flatmap(
+        lambda key: st.builds("{} = {}".format, st.just(key), small)
+    )
+    | st.sampled_from(["bogus = 1", "no separator", "# comment", ""]),
+    max_size=4,
+)
+config_sources = st.sampled_from(
+    ["periodic:[1;|1] periodic:[1;|2]", "a=periodic:[1;|1] b=explicit:[1;2,3]", "periodic:[1;|1]",
+     "periodic:[1;|1] bogus:1", "'unclosed"]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.tuples(st.just("synth"), presets | schedule_documents, st.sampled_from(["0", "100"])),
+        st.tuples(st.just("config"), config_sources, config_lines),
+        st.tuples(st.just("config-path"), st.sampled_from(["missing", "directory"]), st.none()),
+    )
+)
+def test_synth_and_config_commands_exit_with_a_documented_code(case):
+    kind, first, second = case
+    with tempfile.TemporaryDirectory() as directory:
+        out = ["--out", os.path.join(directory, "out")]
+        if kind == "synth":
+            argv = ["synth", "--schedule", first, "--search-bound", second] + out
+        else:
+            path = os.path.join(directory, "run.conf")
+            if kind == "config":
+                with open(path, "w") as handle:
+                    handle.write("\n".join([f"sources = {first}"] + second) + "\n")
+            elif first == "directory":
+                os.mkdir(path)
+            argv = ["trace", "--config", path] + out
+        check_documented_exit(argv)

@@ -831,3 +831,101 @@ drawn_specs = st.builds(
 def test_events_off_held_handles_match_the_merged_stream(specs, t0, count, depth_limit, horizon):
     expected = merged_trace(specs, t0, count, depth_limit, horizon)
     assert held_trace(specs, t0, count, depth_limit, horizon) == expected
+
+
+# ------------------ the refined pair re-tested alone against the full sort
+
+
+def certified_with(certify, specs, t0, count, depth_limit, horizon):
+    """held_trace with certify in place of _certify."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(order_dynamics, "_certify", certify)
+        return held_trace(specs, t0, count, depth_limit, horizon)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    drawn_specs,
+    st.integers(min_value=1, max_value=60) | st.integers(min_value=61, max_value=10**6),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=8) | st.just(64),
+    st.integers(min_value=1, max_value=10**12) | st.just(2**1200),
+)
+@example(
+    [("underflow", [1, 2, 3, 1, 2, 2, 1, 3]), ("underflow", [3, 1, 1, 2, 2, 3, 1, 1]),
+     ("spec", "seeded:1:3")],
+    1, 10, 64, 2**1200,
+)
+@example(
+    [("shared", [1, 4, 2, 3] * 3), ("shared", [2, 3, 1, 1] * 3), ("spec", "seeded:1:3"),
+     ("spec", "seeded:2:5")],
+    5, 20, 64, 70,
+)
+@example([("spec", "periodic:[1;|1]")] * 3, 1, 5, 3, 10**12)
+def test_local_retest_matches_the_full_sort(specs, t0, count, depth_limit, horizon):
+    expected = certified_with(oracle.resorting_certify, specs, t0, count, depth_limit, horizon)
+    actual = certified_with(order_dynamics._certify, specs, t0, count, depth_limit, horizon)
+    assert actual == expected
+
+
+def test_the_local_retest_saves_full_sorts():
+    def sorts(certify):
+        calls = []
+        sort = order_dynamics._sort_and_test
+
+        def counting_sort(handles):
+            calls.append(len(handles))
+            return sort(handles)
+
+        ftuple = seeded_tuple((1000 + i, 2 + i % 5) for i in range(15))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(order_dynamics, "_sort_and_test", counting_sort)
+            patch.setattr(oracle, "_sort_and_test", counting_sort)
+            patch.setattr(order_dynamics, "_certify", certify)
+            trace = change_trace(ftuple, 2, 250)
+        return trace, len(calls)
+
+    trace, local = sorts(order_dynamics._certify)
+    expected, full = sorts(oracle.resorting_certify)
+    assert trace == expected
+    assert local < full
+
+
+# ------------------------------- level handles from the cached lists
+
+
+def built_the_old_way(source, m):
+    """The reads and the error of ApproximationError(source, m) as it read
+    q_{m+1}, then q_{m+2} through _ends_at."""
+    q_next = source.denominator(m + 1)
+    if q_next == source.denominator(m):
+        raise ValueError("level 0 is no staircase level when q_0 = q_1")
+    source.denominator(m + 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["explicit:[0;3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6,2,6,4,3,3,8,3,2,7,9,5,"
+     "2,8,8,4,1,9,7,1,6,9,3]", "periodic:[1;|2]", "periodic:[2;1,1|1,4]", "seeded:5:6",
+     "seeded:9:2", "periodic:[0;|1]"],
+)
+def test_a_level_handle_matches_its_ends_at(spec):
+    for m in range(0, 41):
+        source = parse_source(spec)
+        try:
+            handle = ApproximationError(source, m, "x")
+        except ValueError as exc:
+            assert m == 0 and source.term(1) == 1
+            assert str(exc) == "level 0 is no staircase level when q_0 = q_1"
+            continue
+        except SourceExhausted as exc:
+            with pytest.raises(SourceExhausted) as expected:
+                built_the_old_way(parse_source(spec), m)
+            assert (exc.index, exc.available) == (expected.value.index, expected.value.available)
+            continue
+        assert m > 0 or source.term(1) >= 2
+        qs = [source.denominator(d) for d in range(m + 3)]
+        assert (handle.m, handle.label, handle.depth) == (m, "x", m + 3)
+        assert (handle.q, handle.floor, handle.ceil) == (qs[m], qs[m + 1], qs[m + 1] + qs[m])
+        ends = handle._ends_at(m + 3, m + 1, 0, 1)
+        assert snapshot(handle) == (m, m + 3, ends.lo_num, ends.lo_den, ends.hi_num, ends.hi_den)
