@@ -489,7 +489,8 @@ def tuple_from_header(header: dict) -> FunctionTuple:
 
 def export_staircase(subject, path: str | None, horizon: int | None = None) -> int:
     """CSV staircase for a trace (rows at its change moments) or for a
-    function tuple up to a horizon (rows at every jump event)."""
+    function tuple up to a horizon (rows at every jump event); cmd_export
+    refuses a tuple that comes without one."""
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(subject, ChangeTrace):
@@ -505,8 +506,6 @@ def export_staircase(subject, path: str | None, horizon: int | None = None) -> i
         points = _sampled_points(times, None)
     else:
         ftuple = subject
-        if horizon is None:
-            raise ValueError("horizon required when exporting from sources")
         times = [e.t for e in build_events(ftuple, horizon)]
         points = _sampled_points(times, horizon + 1)
     rows = staircase_rows(ftuple, points)

@@ -381,8 +381,8 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
                 a, b = b, a
             if rounds >= depth_limit:
                 raise ComparisonUndecided(t, (a.label, b.label), rounds)
-            a.refine(1)
-            b.refine(1)
+            a.refine()
+            b.refine()
             rounds += 1
         handles[:] = a, b
         return a.label, b.label
@@ -392,7 +392,7 @@ def _certify(handles: list, t: int, depth_limit: int) -> OrderVector:
             i = overlapping[0]
             raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
         for j in {j for i in overlapping for j in (i, i + 1)}:
-            handles[j].refine(1)
+            handles[j].refine()
         rounds += 1
         local = _retest_pair(handles, overlapping[0]) if len(overlapping) == 1 else None
         overlapping = _sort_and_test(handles) if local is None else local

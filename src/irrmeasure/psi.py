@@ -81,8 +81,8 @@ class ApproximationError:
         q_deep = qs[m + 2] if len(qs) > m + 2 else source.denominator(m + 2)
         self.floor, self.ceil = q_next, q_next + q
         # the first depth whose ends d = m+1, m+2 are both past m, so
-        # nonzero; refine() moves on from here.  They are _ends_at(m + 3,
-        # m + 1, 0, 1): K_{m+2} = a_{m+2} over q_{m+2}, the lower end, and
+        # nonzero; refine() moves on from here.  They are the starting
+        # continuants K_{m+2} = a_{m+2} over q_{m+2}, the lower end, and
         # K_{m+1} = 1 over q_{m+1}
         self.depth = m + 3
         self.ends = _BracketEnds(source._terms[m + 2], q_deep, 1, q_next)
@@ -107,39 +107,13 @@ class ApproximationError:
         copy.ends = self.ends
         return copy
 
-    def _ends_at(self, depth: int, top: int, shallow: int, deep: int) -> _BracketEnds:
-        """New ends at depth, stepping (K_{top-1}, K_top) = (shallow, deep)
-        up to depth - 1.  The denominator read first caches the quotients, so
-        an explicit source runs out before anything is stepped."""
-        q_deep = self.source.denominator(depth - 1)
-        q_shallow = self.source._denominators[depth - 2]
-        terms = self.source._terms
-        for d in range(top + 1, depth):
-            shallow, deep = deep, terms[d] * deep + shallow
-        if (depth - self.m) % 2:
-            return _BracketEnds(deep, q_deep, shallow, q_shallow)
-        return _BracketEnds(shallow, q_shallow, deep, q_deep)
+    def refine(self) -> None:
+        """Move the depth on by one quotient, as every certification round does.
 
-    def _move_to(self, depth: int) -> None:
-        e = self.ends  # (K_{D-2}, K_{D-1}) at D = self.depth, by the parity rule
-        pair = (e.hi_num, e.lo_num) if (self.depth - self.m) % 2 else (e.lo_num, e.hi_num)
-        self.ends = self._ends_at(depth, self.depth - 1, *pair)
-        self.depth = depth
-
-    def refine(self, extra: int = 1) -> None:
-        """Move the depth on by extra quotients.
-
-        One step, the call every certification round makes, is taken here:
         K_D = a_D*K_{D-1} + K_{D-2} and q_D become the deeper end, and the
         end K_{D-2} is dropped.  q_D is read first unless it is cached, so
-        an explicit source runs out before the handle changes.  Longer
-        steps go through _move_to.
+        an explicit source runs out before the handle changes.
         """
-        if extra != 1:
-            if extra < 1:
-                raise ValueError("refinement step must be >= 1")
-            self._move_to(self.depth + extra)
-            return
         depth, e = self.depth, self.ends
         source = self.source
         qs = source._denominators
@@ -164,14 +138,26 @@ class ApproximationError:
         self._settle(*_width_ratio(target_width))
 
     def _settle(self, num: int, den: int) -> None:
-        """refine_to's search for a width num/den > 0."""
-        scaled_q = self.q * den
-        depth = self.depth
-        denominator, qs = self.source.denominator, self.source._denominators
+        """refine_to's search for a width num/den > 0, then one jump of the
+        continuants (K_{D-2}, K_{D-1}) from D = self.depth to its result.
+        The search has read every term and denominator the jump uses."""
+        scaled_q, start, m = self.q * den, self.depth, self.m
+        source = self.source
+        denominator, qs = source.denominator, source._denominators
+        depth = start
         while scaled_q > num * denominator(depth - 1) * qs[depth - 2]:
             depth += _STEP
-        if depth != self.depth:
-            self._move_to(depth)
+        if depth == start:
+            return
+        e, terms = self.ends, source._terms  # end d is the lower iff d - m is even
+        shallow, deep = (e.hi_num, e.lo_num) if (start - m) % 2 else (e.lo_num, e.hi_num)
+        for d in range(start, depth):
+            shallow, deep = deep, terms[d] * deep + shallow
+        if (depth - m) % 2:
+            self.ends = _BracketEnds(deep, qs[depth - 1], shallow, qs[depth - 2])
+        else:
+            self.ends = _BracketEnds(shallow, qs[depth - 2], deep, qs[depth - 1])
+        self.depth = depth
 
     def __repr__(self):
         who = self.label or "?"

@@ -414,7 +414,7 @@ def sorted_certify(handles: list, t: int, depth_limit: int) -> tuple:
             i = overlapping[0]
             raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
         for j in {j for i in overlapping for j in (i, i + 1)}:
-            handles[j].refine(1)
+            handles[j].refine()
         rounds += 1
 
 
@@ -434,7 +434,7 @@ def resorting_certify(handles: list, t: int, depth_limit: int) -> tuple:
             i = overlapping[0]
             raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
         for j in {j for i in overlapping for j in (i, i + 1)}:
-            handles[j].refine(1)
+            handles[j].refine()
         rounds += 1
 
 

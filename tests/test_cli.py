@@ -737,6 +737,7 @@ def test_exhausted_source_exits_4(capsys):
         (["export", "--trace", "TRACE", "--horizon", "-5"], "horizon must be >= 1"),
         (["export", "--sources", PHI, "--horizon", "0"], "horizon must be >= 1"),
         (["export", "--sources", PHI, "--horizon", "-5"], "horizon must be >= 1"),
+        (["export", "--sources", PHI], "export from sources needs --horizon"),
         (["psi", "--source", "periodic:[1;0|1]", "--t", "5"], "preperiod term a_1 must be >= 1"),
         (["psi", "--source", "periodic:[1;|0]", "--t", "5"], "period terms must be >= 1"),
         (
@@ -761,6 +762,7 @@ def test_exhausted_source_exits_4(capsys):
         "export-trace-horizon-negative",
         "export-sources-horizon-0",
         "export-sources-horizon-negative",
+        "export-sources-no-horizon",
         "periodic-a1-0",
         "periodic-period-term-0",
         "periodic-without-period",
@@ -1212,3 +1214,73 @@ def test_synth_and_config_commands_exit_with_a_documented_code(case):
                 os.mkdir(path)
             argv = ["trace", "--config", path] + out
         check_documented_exit(argv)
+
+
+# numbers and specs from all four grammars: malformed ones, explicit lists
+# that run out, and the integers at and around every bound
+cli_numbers = st.sampled_from(["-1", "0", "1", "13"])
+source_specs = st.one_of(
+    st.builds(
+        "periodic:[{};{}|{}]".format,
+        cli_numbers,
+        st.sampled_from(["", "1", "2,0", "x"]),
+        st.sampled_from(["", "1", "2", "0", "-1"]),
+    ),
+    st.builds("rule:const:{}".format, cli_numbers)
+    | st.sampled_from(["rule:e", "rule:e:3", "rule:x", "rule:const:"]),
+    st.builds("seeded:{}:{}".format, cli_numbers, cli_numbers)
+    | st.sampled_from(["seeded:1", "seeded:a:2"]),
+    st.builds(
+        lambda a0, terms: f"explicit:[{a0};{','.join(terms)}]",
+        cli_numbers,
+        st.lists(cli_numbers, max_size=5),
+    )
+    | st.sampled_from(["explicit:[1]", "explicit:[1;2,,3]", "explicit:[1;x]"]),
+    st.sampled_from(["", "bogus:1", "periodic:[1;2]"]),
+)
+
+
+def _flag(name, on):
+    return [name] if on else []
+
+
+def _option(name, value):
+    return [] if value is None else [name, value]
+
+
+source_command_argvs = st.one_of(
+    st.builds(
+        lambda spec, depth, as_json: ["expand", "--source", spec, "--depth", depth]
+        + _flag("--json", as_json),
+        source_specs,
+        cli_numbers,
+        st.booleans(),
+    ),
+    st.builds(
+        lambda spec, t, t_end, left: ["psi", "--source", spec, "--t", t]
+        + _option("--t-end", t_end)
+        + _flag("--left", left),
+        source_specs,
+        cli_numbers,
+        st.none() | cli_numbers,
+        st.booleans(),
+    ),
+    st.builds(
+        lambda k, as_json: ["pi", "--k", k] + _flag("--json", as_json),
+        cli_numbers,
+        st.booleans(),
+    ),
+    st.builds(
+        lambda specs, horizon: ["export", "--sources", *specs] + _option("--horizon", horizon),
+        st.lists(source_specs | st.builds("a={}".format, source_specs), min_size=1, max_size=2),
+        st.none() | cli_numbers,
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(source_command_argvs)
+@example(["export", "--sources", "explicit:[1;2]", "rule:e", "--horizon", "13"])
+@example(["psi", "--source", "explicit:[0;1,13]", "--t", "13", "--left"])
+def test_source_commands_exit_with_a_documented_code(argv):
+    check_documented_exit(argv)

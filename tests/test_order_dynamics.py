@@ -12,6 +12,7 @@ import pinned
 import _oracle as oracle
 from _documents import FAULTS, trace_documents
 from _oracle import tau_at
+from test_psi import product_ends
 from irrmeasure import order_dynamics
 from irrmeasure.cf_engine import ExplicitSource, parse_source
 from irrmeasure.cli_io import canonical_json
@@ -362,9 +363,9 @@ def test_each_handle_is_refined_at_most_once_per_round(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def logged_refine(self, extra=1):
+    def logged_refine(self):
         log.append(self)
-        refine(self, extra)
+        refine(self)
 
     def logged_strictly_below(a, b):
         log.append(None)
@@ -421,7 +422,7 @@ def certify_by_fractions(handles, t, depth_limit):
             i = overlapping[0]
             raise ComparisonUndecided(t, (handles[i].label, handles[i + 1].label), rounds)
         for j in {j for i in overlapping for j in (i, i + 1)}:
-            handles[j].refine(1)
+            handles[j].refine()
         rounds += 1
 
 
@@ -896,7 +897,7 @@ def test_the_local_retest_saves_full_sorts():
 
 def built_the_old_way(source, m):
     """The reads and the error of ApproximationError(source, m) as it read
-    q_{m+1}, then q_{m+2} through _ends_at."""
+    q_{m+1}, then q_{m+2} for its deeper end."""
     q_next = source.denominator(m + 1)
     if q_next == source.denominator(m):
         raise ValueError("level 0 is no staircase level when q_0 = q_1")
@@ -910,6 +911,7 @@ def built_the_old_way(source, m):
      "seeded:9:2", "periodic:[0;|1]"],
 )
 def test_a_level_handle_matches_its_ends_at(spec):
+    # its ends at the starting depth m + 3 are the product formula's
     for m in range(0, 41):
         source = parse_source(spec)
         try:
@@ -927,5 +929,4 @@ def test_a_level_handle_matches_its_ends_at(spec):
         qs = [source.denominator(d) for d in range(m + 3)]
         assert (handle.m, handle.label, handle.depth) == (m, "x", m + 3)
         assert (handle.q, handle.floor, handle.ceil) == (qs[m], qs[m + 1], qs[m + 1] + qs[m])
-        ends = handle._ends_at(m + 3, m + 1, 0, 1)
-        assert snapshot(handle) == (m, m + 3, ends.lo_num, ends.lo_den, ends.hi_num, ends.hi_den)
+        assert snapshot(handle) == (m, m + 3, *product_ends(source, m, m + 3))

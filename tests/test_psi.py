@@ -163,8 +163,9 @@ def test_verdict_stable_under_extra_refinement():
     a = psi_at(PHI, 4, label="phi")
     b = psi_at(RT2, 4, label="rt2")
     assert _certify([a, b], 4, 64) == ("rt2", "phi")
-    a.refine(2)
-    b.refine(2)
+    for _ in range(2):
+        a.refine()
+        b.refine()
     assert a.bracket.hi < b.bracket.lo  # still cleanly separated, same order
 
 
@@ -279,7 +280,8 @@ def fraction_width_refine_to(err, target_width):
     """The stopping rule as it read before the integer width test."""
     while err.bracket.width > target_width:
         width = err.bracket.width
-        err.refine(4)
+        for _ in range(4):
+            err.refine()
         assert err.bracket.width < width  # a stuck bracket would loop forever
 
 
@@ -338,9 +340,9 @@ def test_bracket_memo_matches_fresh_sources(spec):
             got, expected = (
                 ApproximationError(source, m) for source in (swept, parse_source(spec))
             )
-            if extra:
-                got.refine(extra)
-                expected.refine(extra)
+            for _ in range(extra):
+                got.refine()
+                expected.refine()
             got.refine_to(width)
             expected.refine_to(width)
             assert (got.depth, integer_ends(got)) == (expected.depth, integer_ends(expected))
@@ -350,7 +352,8 @@ def test_refining_a_handle_leaves_later_values_alone():
     shared, fresh = parse_source("seeded:5:9"), parse_source("seeded:5:9")
     held = psi_at(shared, 700)
     held_depth = held.depth
-    held.refine(5)
+    for _ in range(5):
+        held.refine()
     again = psi_at(shared, 700)
     expected = psi_at(fresh, 700)
     assert (again.m, again.depth, again.bracket) == (
@@ -359,7 +362,7 @@ def test_refining_a_handle_leaves_later_values_alone():
         expected.bracket,
     )
     assert held.depth == held_depth + 5 and held.bracket != again.bracket
-    again.refine(1)
+    again.refine()
     assert held.depth == held_depth + 5
 
 
@@ -406,7 +409,8 @@ def test_a_sweep_builds_one_handle_per_level_and_width(monkeypatch):
     held = psi_at(source, jump, width, "held")
     template = source._cursor[3]
     before = (template.depth, template.ends, template.label)
-    held.refine(3)
+    for _ in range(3):
+        held.refine()
     assert (template.depth, template.ends, template.label) == before
     again = psi_at(source, jump, width)
     assert (again.depth, integer_ends(again)) == (before[0], integer_ends(template))
@@ -462,14 +466,6 @@ def test_a_width_that_is_not_positive_is_refused_before_any_read(spec, target_wi
     ):
         with pytest.raises(ValueError, match="target width must be positive"):
             call()
-
-
-@pytest.mark.parametrize("extra", [0, -1])
-def test_a_refinement_step_below_1_is_refused_before_any_read(extra):
-    held = ApproximationError(parse_source("periodic:[1;|1]"), 2)
-    forbid_reads(held.source)
-    with pytest.raises(ValueError, match="refinement step must be >= 1"):
-        held.refine(extra)
 
 
 # ------------------------------------------------------ the level cursor
@@ -588,7 +584,8 @@ def test_refining_a_hit_moves_neither_the_cursor_nor_later_values():
     template = source._cursor[3]
     before = (template.depth, template.ends, template.label)
     held = psi_at(source, 701, CURSOR_WIDTH, "held")
-    held.refine(3)
+    for _ in range(3):
+        held.refine()
     assert source._cursor[3] is template
     assert (template.depth, template.ends, template.label) == before
     again = psi_at(source, 702, CURSOR_WIDTH)
@@ -633,7 +630,7 @@ def test_integer_ends_give_the_fraction_bracket(spec):
         err = ApproximationError(source, m)
         for _ in range(4):
             assert err.bracket == fraction_bracket(source, m, err.depth)
-            err.refine(1)
+            err.refine()
 
 
 # small seeds and bounds so that equal and touching brackets both occur
@@ -677,6 +674,13 @@ def integer_ends(err):
     return e.lo_num, e.lo_den, e.hi_num, e.hi_den
 
 
+def refined(err, steps):
+    """err's integer ends after steps one-quotient refines."""
+    for _ in range(steps):
+        err.refine()
+    return integer_ends(err)
+
+
 def seen(fn, source):
     """fn's value, or where it ran out, with how far the source was read."""
     try:
@@ -715,10 +719,11 @@ def test_continuant_ends_match_the_product_formula(spec):
         assert (err.floor, err.ceil) == (q_next, q_next + q)
         for step in steps:
             depth = err.depth + step
-            got = seen(lambda: err.refine(step) or integer_ends(err), source)
+            got = seen(lambda: refined(err, step), source)
             assert got == seen(lambda: product_ends(twin, m, depth), twin)
             if got[0][0] == "exhausted":
-                assert err.depth == depth - step  # a handle that ran out keeps its ends
+                # a handle that ran out keeps the ends of its last whole step
+                assert integer_ends(err) == product_ends(twin, m, err.depth)
                 break
             lo_num, lo_den, hi_num, hi_den = got[0]
             # every end's reciprocal lies in [floor, ceil]
@@ -727,7 +732,7 @@ def test_continuant_ends_match_the_product_formula(spec):
         # first one left in the memo and from its own
         again = ApproximationError(source, m)
         while again.depth < err.depth:
-            again.refine(1)
+            again.refine()
             assert integer_ends(again) == product_ends(twin, m, again.depth)
 
 
@@ -742,35 +747,46 @@ def test_continuant_ends_match_the_product_formula(spec):
     ids=["phi", "rule-e", "seeded-5-9", "explicit"],
 )
 def test_one_step_refine_matches_two_step_refine(spec):
-    # refine(1) steps one continuant in place; refine(2) moves through
-    # _move_to.  Each reads its own twin of the source, so an explicit
+    # refine() steps one continuant in place; refine_to jumps once from its
+    # handle's depth D0 to the depth D its width search settles on, which is
+    # D = D0 + 4*j for the width q_m/(q_{D-1}*q_{D-2}) at D.  D0 is the
+    # starting depth m + 3 or one step past it, so D - m takes both
+    # parities.  Each reads its own twin of the source, so an explicit
     # source runs out for both from its own reads.
-    source, twin = parse_source(spec), parse_source(spec)
-    ran_out = False
-    for m in range(first_level(parse_source(spec)), 30):
-        try:
-            one, two = ApproximationError(source, m), ApproximationError(twin, m)
-        except SourceExhausted:
-            break
-        for _ in range(12):
-            index = None
-            for _ in range(2):
-                before = one.depth, integer_ends(one)
-                try:
-                    one.refine(1)
-                except SourceExhausted as exc:
-                    assert (one.depth, integer_ends(one)) == before  # left unchanged
-                    index = exc.index
-                    break
-            if index is not None:
-                with pytest.raises(SourceExhausted) as exhausted:
-                    two.refine(2)
-                assert exhausted.value.index == index
-                ran_out = True
+    for offset in (0, 1):
+        source, twin = parse_source(spec), parse_source(spec)
+        ran_out = False
+        for m in range(first_level(parse_source(spec)), 30):
+            try:
+                one = ApproximationError(source, m)
+                for _ in range(offset):
+                    one.refine()
+                ApproximationError(twin, m)
+            except SourceExhausted:
                 break
-            two.refine(2)
-            assert (one.depth, integer_ends(one)) == (two.depth, integer_ends(two))
-    assert ran_out == spec.startswith("explicit")
+            for _ in range(6):
+                index = None
+                for _ in range(4):
+                    before = one.depth, integer_ends(one)
+                    try:
+                        one.refine()
+                    except SourceExhausted as exc:
+                        assert (one.depth, integer_ends(one)) == before  # left unchanged
+                        index = exc.index
+                        break
+                jump = ApproximationError(twin, m)
+                for _ in range(offset):
+                    jump.refine()
+                if index is not None:
+                    with pytest.raises(SourceExhausted) as exhausted:
+                        jump.refine_to(Fraction(1, 2**4096))
+                    assert exhausted.value.index == index
+                    ran_out = True
+                    break
+                q_deep, q_shallow = (source.denominator(one.depth - d) for d in (1, 2))
+                jump.refine_to(Fraction(one.q, q_deep * q_shallow))
+                assert (one.depth, integer_ends(one)) == (jump.depth, integer_ends(jump))
+        assert ran_out == spec.startswith("explicit")
 
 
 EXPLICIT_SPECS = [
@@ -831,8 +847,8 @@ def test_first_order_verdicts_agree_with_the_cross_products(specs, levels, extra
         for source, m, spec in zip(sources, levels, specs)
     )
     for err, extra in zip((a, b), extras):
-        if extra:
-            err.refine(extra)
+        for _ in range(extra):
+            err.refine()
     for x, y in ((a, b), (b, a)):
         cross = x.ends.hi_num * y.ends.lo_den < y.ends.lo_num * x.ends.hi_den
         if x.floor > y.ceil:
