@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -122,10 +122,15 @@ def _rows_json(rows, newline: str) -> str | None:
     non-empty set of str keys, and every column holding only str, only
     int, or only lists (not subclasses) of str values, such as a trace's
     "v" and "jumping".  Each column is encoded by C-level maps and every
-    row fills one %-template, so no Python code runs per value.  Any other
-    shape, and an int past the interpreter's digit limit, returns None:
-    the recursive writer then writes the list or raises its TypeError or
-    ValueError at the first offending value in document order.
+    row fills one %-template, so no Python code runs per value.  Rows of
+    only str and int columns that repeat all but one column, such as a psi
+    sweep's, where t alone changes within a level, are written by
+    _grouped_json, which encodes each repeated combination once.  A list
+    column skips that at once: lists cannot key a group, and a trace's
+    vectors change at every event, so grouping would find nothing to share.
+    Any other shape, and an int past the interpreter's digit limit, returns
+    None: the recursive writer then writes the list or raises its TypeError
+    or ValueError at the first offending value in document order.
     """
     if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1:
         return None
@@ -133,26 +138,86 @@ def _rows_json(rows, newline: str) -> str | None:
         return None
     keys = tuple(sorted(rows[0]))
     columns = []
+    scalar = True
     for key in keys:
         try:
             column = list(map(itemgetter(key), rows))
         except KeyError:
             return None
         leaf = set(map(type, column))
-        if leaf == {str}:
-            columns.append(list(map(encode_basestring_ascii, column)))
-        elif leaf == {int}:
-            try:
-                columns.append(list(map(int.__repr__, column)))
-            except ValueError:
+        if leaf == {list}:
+            if not set(map(type, chain.from_iterable(column))) <= {str}:
                 return None
-        elif leaf == {list} and set(map(type, chain.from_iterable(column))) <= {str}:
-            columns.append(_str_lists(column, newline + "    "))
-        else:
+            scalar = False
+        elif leaf != {str} and leaf != {int}:
             return None
+        columns.append(column)
     inner = newline + "  "
-    lines = map(_row_template(keys, inner).__mod__, zip(*columns))
-    return "[" + inner + ("," + inner).join(lines) + newline + "]"
+    try:
+        text = _grouped_json(keys, columns, newline) if scalar else None
+        if text is None:
+            texts = [_column_text(column, inner + "  ") for column in columns]
+            lines = map(_row_template(keys, inner).__mod__, zip(*texts))
+            text = "[" + inner + ("," + inner).join(lines) + newline + "]"
+        return text
+    except ValueError:  # an int past the digit limit
+        return None
+
+
+def _grouped_json(keys: tuple, columns: list, newline: str) -> str | None:
+    """JSON text of rows of str and int columns, with the text of the
+    columns that repeat written once per distinct combination, or None.
+
+    One column varies: the only one whose first eight values are distinct.
+    No such column, or two, return None at once, so rows that repeat
+    nothing cost a glance at eight values per column.  The rows are grouped by the tuple of the
+    other columns, and unless there are at most half as many groups as
+    rows this returns None.  Each group's text before and after the
+    varying field is joined from per-key fragments, so a row is three
+    pieces: before, its encoded value, after.
+    """
+    n = len(columns[0])
+    heads = [column[:8] for column in columns]
+    varying = [i for i, head in enumerate(heads) if len(set(head)) == len(head)]
+    if len(varying) != 1:
+        return None
+    vary = varying[0]
+    others = columns[:vary] + columns[vary + 1 :]
+    firsts = {}  # each group's first row
+    first = list(map(firsts.setdefault, zip(*others) if others else repeat((), n), range(n)))
+    if 2 * len(firsts) > n:
+        return None
+    inner = newline + "  "
+    field = inner + "  "
+    separator = "," + inner
+    close = inner + "}" + separator
+    names = [encode_basestring_ascii(key) + ": " for key in keys]
+    name = names.pop(vary)
+    befores, afters = [None] * n, [None] * n
+    for group, row in firsts.items():
+        texts = list(map(str.__add__, names, map(_scalar_text, group)))
+        befores[row] = "{" + field + "".join([text + "," + field for text in texts[:vary]]) + name
+        afters[row] = "".join(["," + field + text for text in texts[vary:]]) + close
+    by_group = itemgetter(*first)  # n >= 2 rows, so it returns a tuple
+    values = _column_text(columns[vary], field)
+    pieces = list(chain.from_iterable(zip(by_group(befores), values, by_group(afters))))
+    pieces[0] = "[" + inner + pieces[0]
+    pieces[-1] = pieces[-1][: -len(separator)] + newline + "]"
+    return "".join(pieces)
+
+
+def _scalar_text(value) -> str:
+    return encode_basestring_ascii(value) if type(value) is str else int.__repr__(value)
+
+
+def _column_text(column: list, newline: str) -> list:
+    """JSON text of each value of a column of only str, only int or only
+    lists of str, as a row's value at this indent."""
+    if type(column[0]) is str:
+        return list(map(encode_basestring_ascii, column))
+    if type(column[0]) is int:
+        return list(map(int.__repr__, column))
+    return _str_lists(column, newline)
 
 
 def _str_lists(column: list, newline: str) -> list:
@@ -328,11 +393,14 @@ def merge_config(args: argparse.Namespace, file_values: dict) -> RunConfig:
 
 
 def parse_labeled_sources(specs):
-    """Sources given as spec or label=spec; unlabeled ones become f1, f2, ..."""
+    """Sources given as spec or label=spec; unlabeled ones become f1, f2, ...
+    An empty label, as in "=periodic:[1;|1]", is refused."""
     members = []
     for i, item in enumerate(specs):
         label, sep, rest = item.partition("=")
         if sep and ":" in rest:
+            if not label:
+                raise ValueError(f"source {item!r} has an empty label")
             members.append((label, parse_source(rest)))
         else:
             members.append((f"f{i + 1}", parse_source(item)))

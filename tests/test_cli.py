@@ -12,6 +12,7 @@ import tempfile
 import time
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -173,6 +174,91 @@ def test_canonical_json_writes_row_lists_as_json_dumps(case):
             canonical_json(doc)
     else:
         assert canonical_json(doc) == dumps_json(doc)
+
+
+# ints past the interpreter's 4300-digit limit for int <-> str conversion
+LONG_INTS = st.sampled_from([10**4300, -(10**4500) + 7])
+
+
+@st.composite
+def sweep_row_lists(draw):
+    """(document, refused): 0-60 rows shaped like a psi sweep, maybe one
+    perturbed as in row_lists.
+
+    Every column but one takes few distinct values, one per level, and the
+    levels come in runs or shuffled; the varying column takes a value per
+    row or also few, so distinct counts tie.  Any key may be the varying
+    one, so it sits at every sorted position, and ints past the digit limit
+    turn up in a repeated column and in the varying one.
+    """
+    key = st.one_of(TEXT, st.sampled_from(["%", "%s", "a%sb"]))
+    keys = draw(st.lists(key, min_size=1, max_size=5, unique=True))
+    varying = draw(st.sampled_from(sorted(keys)))
+    levels = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 60))
+    level_of = sorted(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        level_of = draw(st.permutations(level_of))
+    columns = {}
+    for key in keys:
+        ints = draw(st.booleans())
+        leaf = st.one_of(st.integers(-3, 3), INTEGERS, LONG_INTS) if ints else TEXT
+        if key == varying and draw(st.booleans()):
+            base = draw(leaf)
+            columns[key] = [base + i if ints else f"{base}{i}" for i in range(n)]
+        else:
+            pool = draw(st.lists(leaf, min_size=1, max_size=levels))
+            columns[key] = [pool[level % len(pool)] for level in level_of]
+    rows = [{key: columns[key][i] for key in keys} for i in range(n)]
+    refused = False
+    perturbation = draw(st.one_of(st.none(), st.sampled_from(list(PERTURBATIONS))))
+    if rows and perturbation is not None:
+        change, refused = PERTURBATIONS[perturbation]
+        row = draw(st.sampled_from(rows))
+        spare = "".join(keys) + "~"
+        change(row, draw(st.sampled_from(keys)), spare)
+    wrap = draw(st.sampled_from([lambda d: d, lambda d: {"values": d}, lambda d: [[d]]]))
+    return wrap(rows), refused
+
+
+def json_outcome(write, doc):
+    """write(doc)'s text, or the type and message of what it raised."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as error:
+        return type(error).__name__, str(error)
+
+
+@settings(deadline=None)
+@given(sweep_row_lists())
+@example(([{"%s": "x", "b": str(i)} for i in range(8)], False))
+@example(([{"a": i, "b": "x"} for i in range(4)] + [{"a": 9, "b": "y"}] * 4, False))
+@example(([{"a": 10**4300, "t": str(i)} for i in range(4)], False))
+@example(([{"a": "x", "t": 10**4300 + i} for i in range(4)], False))
+def test_canonical_json_writes_sweep_rows_as_json_dumps(case):
+    doc, refused = case
+    if refused:
+        # json.dumps writes a float, so compare with the writer that
+        # writes the rows one value at a time
+        with mock.patch.object(cli_io, "_rows_json", return_value=None):
+            expected = json_outcome(canonical_json, doc)
+        assert expected[0] == "TypeError" or expected[0] == "ValueError"
+    else:
+        expected = json_outcome(dumps_json, doc)
+    assert json_outcome(canonical_json, doc) == expected
+
+
+def test_a_sweep_is_grouped_and_rows_that_repeat_nothing_are_not():
+    def grouped(rows):
+        keys = tuple(sorted(rows[0]))
+        return cli_io._grouped_json(keys, [[row[key] for row in rows] for key in keys], "\n")
+
+    sweep = [{"t": str(t), "m": t // 10, "q": str(t // 10 * 10)} for t in range(40)]
+    assert grouped(sweep) + "\n" == canonical_json(sweep) == dumps_json(sweep)
+    # two varying columns, as in expand rows; no varying column; a group per row
+    assert grouped([{"m": m, "p": str(m)} for m in range(40)]) is None
+    assert grouped([{"a": m // 2, "b": str(m // 4)} for m in range(40)]) is None
+    assert grouped([{"a": m % 8, "b": str(m)} for m in range(40)]) is None
 
 
 def test_long_int_in_a_row_raises_at_the_first_offending_value():
@@ -410,6 +496,31 @@ def test_psi_range_and_left(tmp_path):
     code, out = run(tmp_path, "psi", "--source", "periodic:[1;|1]", "--t", "5", "--left")
     (row,) = json.loads(out.read_text())["values"]
     assert row["q"] == "3"  # value an instant before the jump at t = 5
+
+
+@pytest.mark.parametrize(
+    "source, t, t_end",
+    [("periodic:[1;|1]", 5, 60), ("rule:e", 3, 80), ("seeded:7:2", 4, 60)],
+)
+def test_a_psi_sweep_prints_its_rows_as_json_dumps(capsys, source, t, t_end):
+    assert main(["psi", "--source", source, "--t", str(t), "--t-end", str(t_end)]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == dumps_json(doc)
+    assert [row["t"] for row in doc["values"]] == [str(x) for x in range(t, t_end + 1)]
+    assert len({row["m"] for row in doc["values"]}) >= 4  # three level changes or more
+
+
+@pytest.mark.parametrize("command", ["trace", "export"])
+def test_an_empty_source_label_exits_2(tmp_path, capsys, command):
+    argv = [command, "--sources", "=periodic:[1;|1]", "rule:e", "--out", str(tmp_path / "out")]
+    assert main(argv + (["--horizon", "13"] if command == "export" else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "detail": "source '=periodic:[1;|1]' has an empty label",
+    }
 
 
 def test_trace_document_shape(tmp_path):
@@ -1284,3 +1395,30 @@ source_command_argvs = st.one_of(
 @example(["psi", "--source", "explicit:[0;1,13]", "--t", "13", "--left"])
 def test_source_commands_exit_with_a_documented_code(argv):
     check_documented_exit(argv)
+
+
+# trace members: specs of every grammar (malformed ones and explicit lists
+# that run out), labeled by a label that may repeat or be empty
+trace_numbers = st.none() | st.sampled_from(["-1", "0", "1", "3"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        source_specs
+        | st.builds("{}={}".format, st.sampled_from(["a", "b", "f2", ""]), source_specs),
+        min_size=1,
+        max_size=3,
+    ),
+    trace_numbers,
+    trace_numbers,
+    trace_numbers | st.just("64"),
+)
+@example(["=periodic:[1;|1]", "rule:e"], None, None, None)
+@example(["a=periodic:[1;|1]", "a=rule:e"], "1", "3", "64")
+@example(["explicit:[1;2,3]", "periodic:[1;|2]"], "1", "3", "3")
+def test_trace_sources_exit_with_a_documented_code(sources, t0, count, depth_limit):
+    argv = ["trace", "--sources", *sources]
+    argv += _option("--t0", t0) + _option("--count", count) + _option("--depth-limit", depth_limit)
+    with tempfile.TemporaryDirectory() as directory:
+        check_documented_exit(argv + ["--out", os.path.join(directory, "out")])
