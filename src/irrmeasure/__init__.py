@@ -1,7 +1,8 @@
 """Exact staircases of best rational approximation and their order dynamics.
 
-Everything is integer or Fraction arithmetic on continued fraction
-expansions; no floats are consulted for any decision.
+Every decision is exact: integer or Fraction arithmetic on continued
+fraction expansions.  Floats appear only as correctly rounded sort keys,
+whose strict order implies the exact order.
 
 The root exports the names of the README's library sketch; everything
 else is imported from its module (cf_engine, psi, order_dynamics,

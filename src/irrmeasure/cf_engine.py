@@ -1,9 +1,10 @@
 """Continued fraction sources, convergents, and exact rational brackets.
 
 A real number alpha = [a_0; a_1, a_2, ...] is represented by a source of
-partial quotients.  Everything downstream works with exact integers and
+partial quotients.  Everything downstream decides with exact integers and
 Fractions; consecutive convergents give shrinking two-sided brackets of
-alpha, so no floating point is ever involved.
+alpha.  Floats appear only as correctly rounded sort keys of those
+brackets, whose strict order implies the exact order.
 """
 
 from __future__ import annotations

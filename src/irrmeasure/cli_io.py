@@ -537,13 +537,6 @@ def _sampled_points(event_times, tail: int | None):
     return points
 
 
-def staircase_rows(ftuple: FunctionTuple, t_points):
-    width = Fraction(1, 10**_PLACES)
-    points = [(label, source, t, kind) for label, source in ftuple.members for t, kind in t_points]
-    ends = _decimal_ends(psi_at(source, t, target_width=width) for _, source, t, _ in points)
-    return [(label, str(t), lo, hi, kind) for (label, _, t, kind), (lo, hi) in zip(points, ends)]
-
-
 def tuple_from_header(header: dict) -> FunctionTuple:
     """Rebuild the function tuple recorded in a trace header."""
     sources = required(header, "sources", "trace header")
@@ -555,44 +548,45 @@ def tuple_from_header(header: dict) -> FunctionTuple:
     return FunctionTuple.build((label, parse_source(spec)) for label, spec in sources)
 
 
-def export_staircase(subject, path: str | None, horizon: int | None = None) -> int:
-    """CSV staircase for a trace (rows at its change moments) or for a
-    function tuple up to a horizon (rows at every jump event); cmd_export
-    refuses a tuple that comes without one."""
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if isinstance(subject, ChangeTrace):
-        ftuple = tuple_from_header(subject.header)
-        if set(ftuple.labels) != set(subject.v0):
-            raise ValueError(
-                f"trace header sources name {list(ftuple.labels)}, not the labels of v0 "
-                f"{list(subject.v0)}"
-            )
-        times = [m.t for m in subject.moments]
-        if horizon is not None:
-            times = [t for t in times if t <= horizon]
-        points = _sampled_points(times, None)
-    else:
-        ftuple = subject
-        times = [e.t for e in build_events(ftuple, horizon)]
-        points = _sampled_points(times, horizon + 1)
-    rows = staircase_rows(ftuple, points)
-    lines = [CSV_HEADER] + [",".join(row) for row in rows]
-    emit("\n".join(lines) + "\n", path)
-    return 0
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, inner quotes doubled, when it holds
+    a comma, a quote, CR or LF (RFC 4180), else as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cmd_export(args) -> int:
+    """CSV staircase of a saved trace (rows at its change moments, none
+    past --horizon if given) or of --sources up to --horizon (rows at
+    every jump event), with one interior sample per gap."""
     if args.trace:
         with open(args.trace) as handle:
             trace = ChangeTrace.from_document(json.load(handle))
-        return export_staircase(trace, args.out, args.horizon)
-    if not args.sources:
-        raise ValueError("export needs --trace or --sources with --horizon")
-    if args.horizon is None:
-        raise ValueError("export from sources needs --horizon")
-    ftuple = parse_labeled_sources(args.sources)
-    return export_staircase(ftuple, args.out, args.horizon)
+        if args.horizon is not None and args.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        ftuple = tuple_from_header(trace.header)
+        if set(ftuple.labels) != set(trace.v0):
+            names = f"{list(ftuple.labels)}, not the labels of v0 {list(trace.v0)}"
+            raise ValueError(f"trace header sources name {names}")
+        times = [m.t for m in trace.moments if args.horizon is None or m.t <= args.horizon]
+        points = _sampled_points(times, None)
+    else:
+        if not args.sources:
+            raise ValueError("export needs --trace or --sources with --horizon")
+        if args.horizon is None:
+            raise ValueError("export from sources needs --horizon")
+        ftuple = parse_labeled_sources(args.sources)
+        times = [e.t for e in build_events(ftuple, args.horizon)]
+        points = _sampled_points(times, args.horizon + 1)
+    width = Fraction(1, 10**_PLACES)
+    lines = [CSV_HEADER]
+    for label, source in ftuple.members:
+        ends = _decimal_ends(psi_at(source, t, target_width=width) for t, _ in points)
+        name = _csv_field(label)
+        lines += [f"{name},{t},{lo},{hi},{kind}" for (t, kind), (lo, hi) in zip(points, ends)]
+    emit("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -685,6 +679,3 @@ def main(argv=None) -> int:
             sys.stderr.write(error_document(exc))
             return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

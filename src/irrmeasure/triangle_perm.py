@@ -108,26 +108,21 @@ def cycle_decomposition(k: int) -> list:
     """Cycles of pi on 1-based positions, each starting at its least element.
 
     Listed in the direction of the action: position p is followed by the
-    position its component moves to.
+    position its component moves to.  sigma pulls contents (slot p receives
+    from sigma[p]), so the action runs each cycle of sigma backwards.  A
+    cycle is listed from the start p that sigma leads back to without
+    passing a position below p, which is its least element.
     """
-    sigma = position_permutation(k)
-    # sigma pulls contents: slot p receives from sigma[p]; the action sends
-    # position sigma[p] to p, so follow the inverse map for cycle listings.
-    inverse = [0] * len(sigma)
-    for p, s in enumerate(sigma):
-        inverse[s] = p
-    seen = [False] * len(sigma)
+    sigma = _sigma(k)
     cycles = []
     for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        cycle = []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            cycle.append(p + 1)
-            p = inverse[p]
-        cycles.append(cycle)
+        path = [start + 1]
+        p = sigma[start]
+        while p > start:
+            path.append(p + 1)
+            p = sigma[p]
+        if p == start:
+            cycles.append(path[:1] + path[:0:-1])
     return cycles
 
 
@@ -138,24 +133,14 @@ def render_diagram(k: int, vector=None) -> str:
     With a vector given, its components are shown in the slots.
     """
     n = triangle_size(k)
-    if vector is not None:
-        vector = tuple(vector)
-        if len(vector) != n:
-            raise LengthMismatch(f"vector length {len(vector)} != {n} for k={k}")
-    cells = {}
-    for j in range(1, k + 1):
-        for row in range(1, k - j + 2):
-            pair = (j, j) if row == 1 else (j, k - row + 2)
-            if vector is None:
-                text = f"{pair[0]},{pair[1]}"
-            else:
-                text = str(vector[linear_index(k, *pair) - 1])
-            cells[(row, j)] = text
-    width = max(len(text) for text in cells.values())
-    lines = []
-    for row in range(1, k + 1):
-        entries = [
-            cells[(row, j)].rjust(width) for j in range(1, k + 1) if (row, j) in cells
-        ]
-        lines.append("  ".join(entries))
-    return "\n".join(lines)
+    if vector is None:
+        texts = [f"{j},{l}" for j, l in canonical_pairs(k)]
+    else:
+        texts = list(map(str, vector))
+        if len(texts) != n:
+            raise LengthMismatch(f"vector length {len(texts)} != {n} for k={k}")
+    width = max(map(len, texts))
+    # row r of the picture is entry r of every block longer than r
+    starts = [linear_index(k, j, j) - 1 for j in range(1, k + 1)]
+    rows = [[texts[start + row].rjust(width) for start in starts[: k - row]] for row in range(k)]
+    return "\n".join(map("  ".join, rows))

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -681,6 +683,25 @@ def test_export_of_a_trace_keeps_the_rows_up_to_the_horizon(tmp_path):
     assert cut == [row for row in full if int(row.split(",")[1]) <= 100]
 
 
+ODD_LABELS = ["a,b", 'c"d', "x\ry"]
+
+
+def test_export_quotes_labels_that_hold_csv_delimiters(tmp_path):
+    sources = ["periodic:[1;|1]", "periodic:[1;|2]", "rule:e"]
+    specs = [f"{label}={spec}" for label, spec in zip(ODD_LABELS, sources)]
+    trace_path = tmp_path / "trace.json"
+    argv = ["trace", "--sources", *specs, "--t0", "2", "--count", "4", "--out", str(trace_path)]
+    assert main(argv) == 0
+    for subject in (["--sources", *specs, "--horizon", "30"], ["--trace", str(trace_path)]):
+        csv_path = tmp_path / "stairs.csv"
+        assert main(["export", *subject, "--out", str(csv_path)]) == 0
+        with csv_path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert {len(row) for row in rows} == {5}
+        assert list(dict.fromkeys(row[0] for row in rows[1:])) == ODD_LABELS
+
+
 def test_export_requires_a_subject(tmp_path, capsys):
     assert main(["export", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["export", "--sources", PHI, "--out", str(tmp_path / "x.csv")]) == 2
@@ -715,6 +736,10 @@ def test_export_requires_a_subject(tmp_path, capsys):
             "ab828f6810905ffacef0d0924856c10757a255659d3a40d84176f4dcc11bd989",
         ),
         (
+            ["pi", "--k", "5"],
+            "5d893d63eaabc46b143c335a942263c96a1ad5b997a3c6bc893940ef54623940",
+        ),
+        (
             ["expand", "--source", "rule:e", "--depth", "40", "--json"],
             "9f25d0f5254997437106881fa13ad6b1c95187fa07e794a3fd55b5eaa1236ec0",
         ),
@@ -729,6 +754,7 @@ def test_export_requires_a_subject(tmp_path, capsys):
         "psi-e-60-digits",
         "export-5000",
         "pi-5-json",
+        "pi-5-text",
         "expand-e-40-json",
         "synth-k2-cycles3",
     ],
@@ -1161,6 +1187,25 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert main(["trace", "--sources", PHI, RT2, "--count", "2", "--out", str(out)]) == 0
     assert out.exists()
     assert [p.name for p in out.parent.iterdir()] == ["trace.json"]
+
+
+def test_atomic_write_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["pi", "--k", "3", "--out", str(target)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+def test_python_m_irrmeasure_runs_the_cli(tmp_path, capsys):
+    assert main(["pi", "--k", "2"]) == 0
+    expected = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "irrmeasure", "pi", "--k", "2"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_atomic_write_honours_umask(tmp_path):

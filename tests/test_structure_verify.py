@@ -7,6 +7,7 @@ import warnings
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+from irrmeasure import order_dynamics
 from irrmeasure.cf_engine import ExplicitSource, parse_source
 from irrmeasure.errors import HypothesisNotMet, PatternMismatch, UnknownLabel
 from irrmeasure.order_dynamics import ChangeMoment, ChangeTrace, FunctionTuple, iter_events
@@ -448,6 +449,24 @@ def test_prejump_reversal_on_the_classic_pair():
     assert applied[0].t_joint == 5
     assert applied[0].m == 3 and applied[0].s == 2
     assert applied[0].reversed_ok is True
+
+
+def test_prejump_reversal_fails_when_the_order_is_not_reversed(monkeypatch):
+    # the staircases are ordered ("b", "a") before the shared jump and
+    # again before alpha's previous one: the pattern holds, the law fails
+    asked = []
+
+    def order_vector_at(pair, t, depth_limit):
+        asked.append(t)
+        return ("b", "a")
+
+    monkeypatch.setattr(order_dynamics, "order_vector_at", order_vector_at)
+    report = check_prejump_reversal(parse_source(PHI), parse_source(RT2), events=200)
+    assert report.status == "fail"
+    assert [(inst.t_joint, inst.applied, inst.reversed_ok) for inst in report.instances] == [
+        (5, True, False)
+    ]
+    assert asked == [4, 2]
 
 
 def test_prejump_reversal_requires_an_instance():
